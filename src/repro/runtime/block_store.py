@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from repro.runtime.memory_manager import MemoryPool, PagedAllocation
+from repro.runtime.memory_manager import MemoryPool
 from repro.utils.errors import MemoryManagerError
 from repro.utils.validation import require_positive, require_positive_int
 
@@ -79,39 +79,40 @@ def _chain_block_hashes_cached(
     return tuple(hashes)
 
 
-@dataclass(slots=True)
+#: A block id is ``generation << _SLOT_BITS | slot``: the low bits index the
+#: store's slot columns, the high bits count how often the slot was reused,
+#: so an id outlives neither its release nor its eviction.
+_SLOT_BITS = 32
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_NEXT_GENERATION = 1 << _SLOT_BITS
+
+
+@dataclass(frozen=True, slots=True)
 class KVBlock:
-    """One fixed-size KV block: the unit of sharing, charging and eviction."""
+    """Read-only snapshot of one resident block (introspection only).
+
+    The store keeps no per-block objects; :meth:`SharedBlockStore.block`
+    assembles this view from its slot columns on demand.
+    """
 
     block_id: int
     num_tokens: int
-    ref_count: int = 0
-    block_hash: int | None = None
-    cpu_allocation: PagedAllocation | None = None
-    gpu_allocation: PagedAllocation | None = None
-    last_use: int = 0
-    #: Whether the block currently sits in the store's reusable cache
-    #: (refcount zero, retained for prefix matching) and is therefore
-    #: counted in the store's incremental reclaim totals.
-    cached: bool = False
-    #: Simulated instant the block entered the cache (idleness start);
-    #: TTL eviction compares this against the session-idle cutoff.
-    last_touch_time: float = 0.0
+    ref_count: int
+    block_hash: int | None
+    last_use: int
+    #: Whether the block sits in the reusable cache (refcount zero,
+    #: retained for prefix matching).
+    cached: bool
+    #: Simulated instant the block last entered the cache (idleness start).
+    last_touch_time: float
+    #: Bytes charged for this block (page-rounded), per pool.
+    cpu_bytes: float
+    gpu_bytes: float
 
     @property
     def is_shareable(self) -> bool:
         """Whether the block is indexed by content (a full prefix block)."""
         return self.block_hash is not None
-
-    @property
-    def cpu_bytes(self) -> float:
-        """CPU bytes charged for this block (page-rounded)."""
-        return self.cpu_allocation.total_bytes if self.cpu_allocation else 0.0
-
-    @property
-    def gpu_bytes(self) -> float:
-        """GPU bytes charged for this block (page-rounded)."""
-        return self.gpu_allocation.total_bytes if self.gpu_allocation else 0.0
 
 
 class SharedBlockStore:
@@ -120,6 +121,11 @@ class SharedBlockStore:
     ``block_bytes`` is the full KV footprint of one block across all layers;
     ``gpu_ratio`` splits every block between the pools exactly as the
     policy's ``r_c`` splits per-sequence allocations in the unshared path.
+
+    Blocks live in parallel slot columns (refcount, content hash, tokens,
+    LRU stamp, cached flag, cache-entry time, id) that grow on demand and
+    recycle freed slots through a stack.  Every block charges the same
+    pages, so the pools only count them (:meth:`MemoryPool.reserve`).
     """
 
     def __init__(
@@ -142,19 +148,28 @@ class SharedBlockStore:
         self.block_bytes = float(block_bytes)
         self.block_tokens = block_tokens
         # Every block charges the same byte split and hence the same page
-        # counts; hoist them out of the per-block hot paths (allocate,
-        # cache/uncache, admission capacity checks).
+        # counts (zero for a pool the split does not touch).
         gpu_block_bytes = self.block_bytes * self.gpu_ratio
-        self._block_cpu_bytes = self.block_bytes - gpu_block_bytes
-        self._block_gpu_bytes = gpu_block_bytes
-        self._block_cpu_pages = cpu_pool.pages_needed(self._block_cpu_bytes)
+        self._block_cpu_pages = cpu_pool.pages_needed(
+            self.block_bytes - gpu_block_bytes
+        )
         self._block_gpu_pages = (
             gpu_pool.pages_needed(gpu_block_bytes) if gpu_pool is not None else 0
         )
-        self.blocks: dict[int, KVBlock] = {}
+        # Slot columns.  ``_ids[slot]`` is the id the slot answers to; a
+        # free slot holds its last id complemented (negative), so the next
+        # tenant's generation follows from it and no live id matches.
+        self._refs: list[int] = []
+        self._hashes: list[int | None] = []
+        self._tokens: list[int] = []
+        self._last_use: list[int] = []
+        self._cached: list[bool] = []
+        self._touch_time: list[float] = []
+        self._ids: list[int] = []
+        self._free_slots: list[int] = []
         self._hash_index: dict[int, int] = {}
-        self._next_block_id = 0
         self._clock = 0
+        self._num_cached = 0
         self.evictions = 0
         self.ttl_evictions = 0
         self.crash_drops = 0
@@ -167,20 +182,10 @@ class SharedBlockStore:
         #: evicted); routers memoise prefix matches against this, so a
         #: stale memo can never survive an index change.
         self.version = 0
-        # Incremental accounting: every admission capacity check and every
-        # telemetry snapshot used to scan all resident blocks, which made
-        # long streams quadratic in the request count.  These counters
-        # track the same totals under O(1) updates at each block
-        # transition (allocate / refcount 0 <-> positive / free).
-        self._total_cpu_pages = 0
-        self._total_gpu_pages = 0
-        self._cached_cpu_pages = 0
-        self._cached_gpu_pages = 0
-        self._num_cached = 0
-        # LRU eviction order with lazy deletion: entries are
-        # ``(last_use, block_id)`` pushed when a block enters the cache;
-        # stale entries (block acquired again, re-cached later, or freed)
-        # are skipped on pop by re-checking against the live block.
+        # LRU eviction order with lazy deletion: ``(last_use, slot)`` is
+        # pushed when a block enters the cache.  ``last_use`` comes from a
+        # unique monotone clock, so an entry is live exactly when its slot
+        # is still cached at that stamp; anything else is skipped on pop.
         self._lru_heap: list[tuple[int, int]] = []
 
     # ------------------------------------------------------------------
@@ -189,28 +194,57 @@ class SharedBlockStore:
     @property
     def num_blocks(self) -> int:
         """Resident blocks, referenced or cached."""
-        return len(self.blocks)
+        return len(self._ids) - len(self._free_slots)
 
     @property
     def num_cached_blocks(self) -> int:
         """Resident blocks with no referents (the reusable prefix cache)."""
         return self._num_cached
 
+    def __contains__(self, block_id: int) -> bool:
+        """Whether ``block_id`` names a resident block."""
+        slot = block_id & _SLOT_MASK
+        return slot < len(self._ids) and self._ids[slot] == block_id
+
+    def block(self, block_id: int) -> KVBlock:
+        """A snapshot of one resident block."""
+        slot = self._slot(block_id)
+        gpu_pool = self.gpu_pool
+        return KVBlock(
+            block_id=block_id,
+            num_tokens=self._tokens[slot],
+            ref_count=self._refs[slot],
+            block_hash=self._hashes[slot],
+            last_use=self._last_use[slot],
+            cached=self._cached[slot],
+            last_touch_time=self._touch_time[slot],
+            cpu_bytes=self._block_cpu_pages * self.cpu_pool.page_bytes,
+            gpu_bytes=(
+                self._block_gpu_pages * gpu_pool.page_bytes if gpu_pool else 0.0
+            ),
+        )
+
+    def resident_blocks(self) -> list[KVBlock]:
+        """Snapshots of every resident block, in slot order."""
+        return [self.block(block_id) for block_id in self._ids if block_id >= 0]
+
     def bytes_in_use(self, live_only: bool = False) -> tuple[float, float]:
         """(cpu, gpu) bytes charged across unique resident blocks.
 
         ``live_only`` restricts the sum to blocks with a positive refcount;
         either way each block is counted exactly once no matter how many
-        sequences share it.  Allocations are whole pages, so page counters
-        reproduce the per-block byte sum exactly.
+        sequences share it.  Every block charges the same whole pages, so
+        block counts reproduce the per-block byte sum exactly.
         """
-        cpu_pages = self._total_cpu_pages
-        gpu_pages = self._total_gpu_pages
+        blocks = self.num_blocks
         if live_only:
-            cpu_pages -= self._cached_cpu_pages
-            gpu_pages -= self._cached_gpu_pages
-        cpu = cpu_pages * self.cpu_pool.page_bytes
-        gpu = gpu_pages * self.gpu_pool.page_bytes if self.gpu_pool else 0.0
+            blocks -= self._num_cached
+        cpu = blocks * self._block_cpu_pages * self.cpu_pool.page_bytes
+        gpu = (
+            blocks * self._block_gpu_pages * self.gpu_pool.page_bytes
+            if self.gpu_pool
+            else 0.0
+        )
         return cpu, gpu
 
     def occupancy(self) -> dict[str, float]:
@@ -231,62 +265,22 @@ class SharedBlockStore:
             "live_gpu_bytes": live_gpu,
         }
 
-    def _split_bytes(self) -> tuple[float, float]:
-        return self._block_cpu_bytes, self._block_gpu_bytes
-
-    def _evictable(self) -> list[KVBlock]:
-        return sorted(
-            (block for block in self.blocks.values() if block.ref_count == 0),
-            key=lambda block: block.last_use,
-        )
-
-    def _cache(self, block: KVBlock) -> None:
-        """Count a block entering the reusable cache (refcount hit zero)."""
-        block.cached = True
-        block.last_touch_time = self.clock_time
-        self._num_cached += 1
-        # Per-block page counts are store constants (zero for a pool the
-        # split does not touch), so no allocation needs to be consulted.
-        self._cached_cpu_pages += self._block_cpu_pages
-        self._cached_gpu_pages += self._block_gpu_pages
-        heapq.heappush(self._lru_heap, (block.last_use, block.block_id))
-
-    def _uncache(self, block: KVBlock) -> None:
-        """Count a block leaving the cache (re-acquired or freed)."""
-        if not block.cached:
-            return
-        block.cached = False
-        self._num_cached -= 1
-        self._cached_cpu_pages -= self._block_cpu_pages
-        self._cached_gpu_pages -= self._block_gpu_pages
-
-    def _pop_lru_cached(self) -> KVBlock | None:
-        """The least-recently-used cached block, skipping stale heap entries."""
-        while self._lru_heap:
-            last_use, block_id = heapq.heappop(self._lru_heap)
-            block = self.blocks.get(block_id)
-            if block is not None and block.cached and block.last_use == last_use:
-                return block
-        return None
-
     def allocatable_blocks(self) -> int:
         """Fresh blocks allocatable right now, counting evictable cache.
 
         The capacity half of :meth:`can_allocate_blocks` as a count instead
         of a verdict: how many blocks could be carved out of free pages plus
         everything LRU eviction could reclaim.  Routers use this as a KV
-        headroom signal, so it runs in O(1) off the incremental counters.
+        headroom signal, so it runs in O(1).
         """
-        limit: int | None = None
-        if self._block_cpu_pages:
-            available = self.cpu_pool.free_pages + self._cached_cpu_pages
-            limit = available // self._block_cpu_pages
-        if self._block_gpu_pages:
-            assert self.gpu_pool is not None  # guaranteed by the constructor
-            available = self.gpu_pool.free_pages + self._cached_gpu_pages
-            gpu_limit = available // self._block_gpu_pages
-            limit = gpu_limit if limit is None else min(limit, gpu_limit)
-        return limit or 0
+        return min(
+            pool.free_pages // pages + self._num_cached
+            for pool, pages in (
+                (self.cpu_pool, self._block_cpu_pages),
+                (self.gpu_pool, self._block_gpu_pages),
+            )
+            if pages
+        )
 
     def can_allocate_blocks(
         self, num_blocks: int, reserved_block_ids: Iterable[int] = ()
@@ -296,32 +290,16 @@ class SharedBlockStore:
         Counts both free pages and the pages eviction could reclaim, minus
         the cached blocks in ``reserved_block_ids`` (a prefix match about to
         be acquired must not be double-counted as reclaimable).  Runs in
-        O(reserved) off the incremental cache counters — this sits on the
-        admission hot path, once per arrival.
+        O(reserved) — this sits on the admission hot path, once per arrival.
         """
         if num_blocks <= 0:
             return True
-        reserved_cached = 0
-        blocks = self.blocks
-        for block_id in set(reserved_block_ids):
-            block = blocks.get(block_id)
-            if block is not None and block.cached:
-                reserved_cached += 1
-        ok = True
-        if self._block_cpu_pages:
-            needed = self._block_cpu_pages * num_blocks
-            reclaim = (
-                self._cached_cpu_pages - reserved_cached * self._block_cpu_pages
-            )
-            ok = needed <= self.cpu_pool.free_pages + reclaim
-        if ok and self._block_gpu_pages:
-            assert self.gpu_pool is not None  # guaranteed by the constructor
-            needed = self._block_gpu_pages * num_blocks
-            reclaim = (
-                self._cached_gpu_pages - reserved_cached * self._block_gpu_pages
-            )
-            ok = needed <= self.gpu_pool.free_pages + reclaim
-        return ok
+        reserved_cached = sum(
+            1
+            for block_id in set(reserved_block_ids)
+            if block_id in self and self._cached[block_id & _SLOT_MASK]
+        )
+        return num_blocks <= self.allocatable_blocks() - reserved_cached
 
     # ------------------------------------------------------------------
     # Prefix matching
@@ -378,78 +356,46 @@ class SharedBlockStore:
     # ------------------------------------------------------------------
     # Block lifecycle
     # ------------------------------------------------------------------
-    def acquire(self, block_id: int) -> KVBlock:
+    def acquire(self, block_id: int) -> None:
         """Take a reference on a resident block (a prefix-cache hit)."""
-        block = self._get(block_id)
-        block.ref_count += 1
-        if block.ref_count == 1:
-            self._uncache(block)
-        self._touch(block)
-        return block
+        self.acquire_many((block_id,))
 
     def acquire_many(self, block_ids: Iterable[int]) -> None:
-        """:meth:`acquire` a whole prefix match (same order, one call).
-
-        Registration pins every matched block; doing it in one loop keeps
-        the refcount/cache/LRU transitions identical to sequential
-        acquires without a method call and double dict probe per block.
-        """
-        blocks = self.blocks
+        """:meth:`acquire` a whole prefix match (same order, one loop)."""
+        ids = self._ids
+        refs = self._refs
+        last_use = self._last_use
+        cached = self._cached
         clock = self._clock
-        for block_id in block_ids:
-            block = blocks.get(block_id)
-            if block is None:
-                raise MemoryManagerError(f"unknown block {block_id}")
-            block.ref_count += 1
-            if block.ref_count == 1:
-                self._uncache(block)
-            clock += 1
-            block.last_use = clock
-        self._clock = clock
+        try:
+            for block_id in block_ids:
+                slot = block_id & _SLOT_MASK
+                if slot >= len(ids) or ids[slot] != block_id:
+                    raise MemoryManagerError(f"unknown block {block_id}")
+                refs[slot] += 1
+                if cached[slot]:
+                    cached[slot] = False
+                    self._num_cached -= 1
+                clock += 1
+                last_use[slot] = clock
+        finally:
+            self._clock = clock
 
-    def allocate_block(
-        self, num_tokens: int, block_hash: int | None = None
-    ) -> KVBlock:
+    def allocate_block(self, num_tokens: int, block_hash: int | None = None) -> int:
         """Allocate a fresh block (refcount 1), evicting LRU cache if needed.
 
         ``block_hash`` registers the block in the content index so later
         prompts can share it; a hash collision with a resident block keeps
-        the incumbent (the new block stays private).
+        the incumbent (the new block stays private).  Returns the block id.
         """
         require_positive_int("num_tokens", num_tokens)
         if num_tokens > self.block_tokens:
             raise MemoryManagerError(
                 f"block holds at most {self.block_tokens} tokens, got {num_tokens}"
             )
-        self._reclaim_for(self._block_cpu_bytes, self._block_gpu_bytes)
-        block = KVBlock(
-            block_id=self._next_block_id,
-            num_tokens=num_tokens,
-            ref_count=1,
-        )
-        self._next_block_id += 1
-        if self._block_cpu_pages:
-            block.cpu_allocation = self.cpu_pool.take_pages(self._block_cpu_pages)
-        if self._block_gpu_pages:
-            assert self.gpu_pool is not None  # guaranteed by the constructor
-            try:
-                block.gpu_allocation = self.gpu_pool.take_pages(self._block_gpu_pages)
-            except MemoryManagerError:
-                # Roll the CPU share back: the block never becomes visible,
-                # so nothing else can free those pages.
-                if block.cpu_allocation is not None:
-                    self.cpu_pool.free(block.cpu_allocation)
-                raise
-        if block_hash is not None and block_hash not in self._hash_index:
-            block.block_hash = block_hash
-            self._hash_index[block_hash] = block.block_id
-            self.version += 1
-        self.blocks[block.block_id] = block
-        self._total_cpu_pages += self._block_cpu_pages
-        self._total_gpu_pages += self._block_gpu_pages
-        self._clock += 1
-        block.last_use = self._clock
-        return block
+        out: list[int] = []
+        self._allocate((num_tokens,), (block_hash,), out)
+        return out[0]
 
     def allocate_run(
         self,
@@ -461,50 +407,12 @@ class SharedBlockStore:
 
         Observably identical to calling :meth:`allocate_block` once per
         ``(size, hash)`` pair — same eviction points, ids, index/clock
-        transitions — without the per-block method and validation
-        overhead (registration is the allocation hot path: one run per
-        admitted request).  Each committed block id is appended to
+        transitions.  Each committed block id is appended to
         ``out_block_ids`` immediately, so a mid-run pool failure leaves
         the committed prefix visible for the caller to release.  Callers
         guarantee every size lies in ``(0, block_tokens]``.
         """
-        blocks = self.blocks
-        hash_index = self._hash_index
-        cpu_pool = self.cpu_pool
-        gpu_pool = self.gpu_pool
-        cpu_pages = self._block_cpu_pages
-        gpu_pages = self._block_gpu_pages
-        for num_tokens, block_hash in zip(sizes, hashes):
-            if cpu_pages > cpu_pool.free_pages or (
-                gpu_pages and gpu_pages > gpu_pool.free_pages
-            ):
-                self._reclaim_for(self._block_cpu_bytes, self._block_gpu_bytes)
-            block = KVBlock(
-                block_id=self._next_block_id,
-                num_tokens=num_tokens,
-                ref_count=1,
-            )
-            self._next_block_id += 1
-            if cpu_pages:
-                block.cpu_allocation = cpu_pool.take_pages(cpu_pages)
-            if gpu_pages:
-                assert gpu_pool is not None  # guaranteed by the constructor
-                try:
-                    block.gpu_allocation = gpu_pool.take_pages(gpu_pages)
-                except MemoryManagerError:
-                    if block.cpu_allocation is not None:
-                        cpu_pool.free(block.cpu_allocation)
-                    raise
-            if block_hash is not None and block_hash not in hash_index:
-                block.block_hash = block_hash
-                hash_index[block_hash] = block.block_id
-                self.version += 1
-            blocks[block.block_id] = block
-            self._total_cpu_pages += cpu_pages
-            self._total_gpu_pages += gpu_pages
-            self._clock += 1
-            block.last_use = self._clock
-            out_block_ids.append(block.block_id)
+        self._allocate(sizes, hashes, out_block_ids)
 
     def register_chain(
         self,
@@ -515,123 +423,172 @@ class SharedBlockStore:
     ) -> int:
         """Register one sequence's whole prefix chain in a single call.
 
-        Fuses the admission/migration registration path — pin the prefix
-        match (``matched_ids``), then carve the remaining ``num_tokens``
-        minus cached tokens into fresh blocks tagged with the chain's
-        remaining ``block_hashes`` — without the per-block loops and
-        intermediate size/hash lists the caller used to build.  Observably
-        identical to :meth:`acquire_many` followed by
-        :meth:`allocate_block` per block: same eviction points, ids and
-        index/clock transitions.  On a mid-run pool failure every block
-        this call pinned or committed is released before re-raising, so
-        the store is left exactly as found.  Returns the cached (matched)
-        token count.
+        Pins the prefix match (``matched_ids``), then carves the remaining
+        ``num_tokens`` minus cached tokens into fresh blocks; every full
+        block still covered by ``block_hashes`` is tagged with its chained
+        hash.  Observably identical to :meth:`acquire_many` followed by
+        :meth:`allocate_block` per block.  On a mid-run pool failure every
+        block this call pinned or committed is released before re-raising,
+        so no reference leaks.  Returns the cached (matched) token count.
         """
         start = len(out_block_ids)
+        block_tokens = self.block_tokens
         try:
             if matched_ids:
                 self.acquire_many(matched_ids)
                 out_block_ids.extend(matched_ids)
-            cached_tokens = len(matched_ids) * self.block_tokens
+            first = len(matched_ids)
+            cached_tokens = first * block_tokens
             remaining = num_tokens - cached_tokens
             if remaining > 0:
-                blocks = self.blocks
-                hash_index = self._hash_index
-                cpu_pool = self.cpu_pool
-                gpu_pool = self.gpu_pool
-                cpu_pages = self._block_cpu_pages
-                gpu_pages = self._block_gpu_pages
-                block_tokens = self.block_tokens
-                block_index = len(matched_ids)
-                num_hashes = len(block_hashes)
-                while remaining > 0:
-                    take = (
-                        block_tokens if remaining >= block_tokens else remaining
-                    )
-                    # A full block lying entirely inside the known prompt is
-                    # content-addressable; later prompts can share it.
-                    block_hash = (
-                        block_hashes[block_index]
-                        if take == block_tokens and block_index < num_hashes
-                        else None
-                    )
-                    if cpu_pages > cpu_pool.free_pages or (
-                        gpu_pages and gpu_pages > gpu_pool.free_pages
-                    ):
-                        self._reclaim_for(
-                            self._block_cpu_bytes, self._block_gpu_bytes
-                        )
-                    block = KVBlock(
-                        block_id=self._next_block_id,
-                        num_tokens=take,
-                        ref_count=1,
-                    )
-                    self._next_block_id += 1
-                    if cpu_pages:
-                        block.cpu_allocation = cpu_pool.take_pages(cpu_pages)
-                    if gpu_pages:
-                        assert gpu_pool is not None  # constructor guarantee
-                        try:
-                            block.gpu_allocation = gpu_pool.take_pages(
-                                gpu_pages
-                            )
-                        except MemoryManagerError:
-                            if block.cpu_allocation is not None:
-                                cpu_pool.free(block.cpu_allocation)
-                            raise
-                    if block_hash is not None and block_hash not in hash_index:
-                        block.block_hash = block_hash
-                        hash_index[block_hash] = block.block_id
-                        self.version += 1
-                    blocks[block.block_id] = block
-                    self._total_cpu_pages += cpu_pages
-                    self._total_gpu_pages += gpu_pages
-                    self._clock += 1
-                    block.last_use = self._clock
-                    out_block_ids.append(block.block_id)
-                    remaining -= take
-                    block_index += 1
+                sizes = self._block_sizes(remaining)
+                # Only full blocks covered by the chain are content-indexed.
+                hashes = list(block_hashes[first : first + remaining // block_tokens])
+                hashes += [None] * (len(sizes) - len(hashes))
+                self._allocate(sizes, hashes, out_block_ids)
         except MemoryManagerError:
             self.release_many(out_block_ids[start:])
             del out_block_ids[start:]
             raise
         return cached_tokens
 
-    def append_to_block(self, block_id: int, num_tokens: int) -> KVBlock:
+    def _allocate(
+        self,
+        sizes: Iterable[int],
+        hashes: Iterable[int | None],
+        out_block_ids: list[int],
+    ) -> None:
+        """The one allocation body behind every public allocation path.
+
+        Blocks are committed one at a time in order.  Exactly when the next
+        block does not fit, one LRU cached block is evicted first (it frees
+        exactly one block's pages); with nothing evictable the pool's own
+        capacity error propagates.
+        """
+        refs = self._refs
+        block_hashes = self._hashes
+        tokens = self._tokens
+        last_use = self._last_use
+        ids = self._ids
+        free_slots = self._free_slots
+        hash_index = self._hash_index
+        cpu_pool = self.cpu_pool
+        gpu_pool = self.gpu_pool
+        cpu_pages = self._block_cpu_pages
+        gpu_pages = self._block_gpu_pages
+        next_generation = _NEXT_GENERATION
+        clock = self._clock
+        try:
+            for num_tokens, block_hash in zip(sizes, hashes):
+                slot = None
+                if cpu_pages > cpu_pool.free_pages or (
+                    gpu_pages and gpu_pages > gpu_pool.free_pages
+                ):
+                    slot = self._pop_lru()
+                if slot is not None:
+                    # The victim's pages and slot pass straight to the new
+                    # block, exactly as freeing it onto the (LIFO) free-slot
+                    # stack and allocating again would leave them.
+                    self._forget(slot)
+                    self.evictions += 1
+                    block_id = ids[slot] + next_generation
+                else:
+                    if cpu_pages:
+                        cpu_pool.reserve(cpu_pages)
+                    if gpu_pages:
+                        try:
+                            gpu_pool.reserve(gpu_pages)
+                        except MemoryManagerError:
+                            # The block never becomes visible, so nothing
+                            # else could return its CPU share.
+                            if cpu_pages:
+                                cpu_pool.unreserve(cpu_pages)
+                            raise
+                    if free_slots:
+                        slot = free_slots.pop()
+                        block_id = ~ids[slot] + next_generation
+                    else:
+                        slot = block_id = len(ids)
+                        ids.append(block_id)
+                        refs.append(0)
+                        tokens.append(0)
+                        last_use.append(0)
+                        block_hashes.append(None)
+                        self._cached.append(False)
+                        self._touch_time.append(0.0)
+                clock += 1
+                ids[slot] = block_id
+                refs[slot] = 1
+                tokens[slot] = num_tokens
+                last_use[slot] = clock
+                if block_hash is not None and block_hash not in hash_index:
+                    block_hashes[slot] = block_hash
+                    hash_index[block_hash] = block_id
+                    self.version += 1
+                out_block_ids.append(block_id)
+        finally:
+            self._clock = clock
+
+    def append_to_block(self, block_id: int, num_tokens: int) -> None:
         """Grow a *private* partial block in place (decode-token append).
 
         Shared or content-indexed blocks are immutable; callers must
         copy-on-write first (:meth:`copy_on_write`).
         """
         require_positive_int("num_tokens", num_tokens)
-        block = self._get(block_id)
-        if block.ref_count != 1 or block.is_shareable:
+        slot = self._slot(block_id)
+        if self._refs[slot] != 1 or self._hashes[slot] is not None:
             raise MemoryManagerError(
                 f"block {block_id} is shared or content-indexed; "
                 "copy-on-write before appending"
             )
-        if block.num_tokens + num_tokens > self.block_tokens:
+        used = self._tokens[slot]
+        if used + num_tokens > self.block_tokens:
             raise MemoryManagerError(
                 f"append of {num_tokens} tokens overflows block {block_id} "
-                f"({block.num_tokens}/{self.block_tokens} used)"
+                f"({used}/{self.block_tokens} used)"
             )
-        block.num_tokens += num_tokens
-        self._touch(block)
-        return block
+        self._tokens[slot] = used + num_tokens
+        self._clock += 1
+        self._last_use[slot] = self._clock
 
-    def copy_on_write(self, block_id: int) -> KVBlock:
+    def extend_table(self, block_ids: list[int], num_tokens: int) -> None:
+        """Grow one sequence's block table by ``num_tokens`` tokens.
+
+        The tail block is filled first: in place when it is private, after
+        :meth:`copy_on_write` when it is shared or content-indexed.  The
+        rest goes into fresh private blocks appended to ``block_ids``.
+        """
+        if block_ids:
+            slot = self._slot(block_ids[-1])
+            room = self.block_tokens - self._tokens[slot]
+            if room and num_tokens > 0:
+                if self._refs[slot] > 1 or self._hashes[slot] is not None:
+                    # Divergence below a shared block.  Registration only
+                    # ever shares *full* blocks, so today this is
+                    # defensive; it becomes load-bearing once partial or
+                    # decode blocks enter the content index.
+                    block_ids[-1] = self.copy_on_write(block_ids[-1])
+                take = min(room, num_tokens)
+                self.append_to_block(block_ids[-1], take)
+                num_tokens -= take
+        if num_tokens > 0:
+            sizes = self._block_sizes(num_tokens)
+            self._allocate(sizes, [None] * len(sizes), block_ids)
+
+    def copy_on_write(self, block_id: int) -> int:
         """Diverge from a shared block: private copy, drop the shared ref.
 
         The copy charges its own pages (the defining cost of divergence);
         the original keeps its other sharers and its place in the content
-        index.
+        index.  Returns the copy's id.
         """
-        original = self._get(block_id)
-        if original.ref_count <= 0:
+        slot = self._slot(block_id)
+        if self._refs[slot] <= 0:
             raise MemoryManagerError(
                 f"copy-on-write of unreferenced block {block_id}"
             )
-        copy = self.allocate_block(original.num_tokens)
+        copy = self.allocate_block(self._tokens[slot])
         self.release(block_id)
         self.cow_copies += 1
         return copy
@@ -643,53 +600,73 @@ class SharedBlockStore:
         eviction under allocation pressure); private blocks can never be
         re-matched, so they are freed immediately.
         """
-        block = self._get(block_id)
-        if block.ref_count <= 0:
-            raise MemoryManagerError(
-                f"refcount underflow: block {block_id} released at "
-                f"refcount {block.ref_count}"
-            )
-        block.ref_count -= 1
-        if block.ref_count == 0:
-            if block.is_shareable:
-                self._touch(block)
-                self._cache(block)
-            else:
-                self._free(block)
+        self.release_many((block_id,))
 
     def release_many(self, block_ids: Iterable[int]) -> None:
         """Release a sequence's whole block table (same order, one loop)."""
-        blocks = self.blocks
-        for block_id in block_ids:
-            block = blocks.get(block_id)
-            if block is None:
-                raise MemoryManagerError(f"unknown block {block_id}")
-            if block.ref_count <= 0:
-                raise MemoryManagerError(
-                    f"refcount underflow: block {block_id} released at "
-                    f"refcount {block.ref_count}"
-                )
-            block.ref_count -= 1
-            if block.ref_count == 0:
-                if block.is_shareable:
-                    self._touch(block)
-                    self._cache(block)
+        ids = self._ids
+        refs = self._refs
+        block_hashes = self._hashes
+        last_use = self._last_use
+        cached = self._cached
+        touch_time = self._touch_time
+        free_slots = self._free_slots
+        heap = self._lru_heap
+        heappush = heapq.heappush
+        now = self.clock_time
+        cpu_pool = self.cpu_pool
+        gpu_pool = self.gpu_pool
+        cpu_pages = self._block_cpu_pages
+        gpu_pages = self._block_gpu_pages
+        clock = self._clock
+        newly_cached = 0
+        try:
+            for block_id in block_ids:
+                slot = block_id & _SLOT_MASK
+                if slot >= len(ids) or ids[slot] != block_id:
+                    raise MemoryManagerError(f"unknown block {block_id}")
+                count = refs[slot]
+                if count <= 0:
+                    raise MemoryManagerError(
+                        f"refcount underflow: block {block_id} released at "
+                        f"refcount {count}"
+                    )
+                refs[slot] = count - 1
+                if count > 1:
+                    continue
+                if block_hashes[slot] is not None:
+                    # Retained as prefix cache, most recently used.
+                    clock += 1
+                    last_use[slot] = clock
+                    cached[slot] = True
+                    touch_time[slot] = now
+                    newly_cached += 1
+                    heappush(heap, (clock, slot))
                 else:
-                    self._free(block)
+                    # Private and unindexed: only pages and the slot return.
+                    if cpu_pages:
+                        cpu_pool.unreserve(cpu_pages)
+                    if gpu_pages:
+                        gpu_pool.unreserve(gpu_pages)
+                    ids[slot] = ~block_id
+                    free_slots.append(slot)
+        finally:
+            self._clock = clock
+            self._num_cached += newly_cached
 
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
-    def _reclaim_for(self, cpu_bytes: float, gpu_bytes: float) -> None:
-        """Evict LRU refcount-zero blocks until one more block fits."""
-        while not self._fits(cpu_bytes, gpu_bytes):
-            victim = self._pop_lru_cached()
-            if victim is None:
-                # Nothing reclaimable: let the pool raise its usual
-                # capacity error from the caller's allocate().
-                return
-            self._free(victim)
-            self.evictions += 1
+    def _pop_lru(self) -> int | None:
+        """The least-recently-used cached slot, skipping stale heap entries."""
+        heap = self._lru_heap
+        cached = self._cached
+        last_use = self._last_use
+        while heap:
+            stamp, slot = heapq.heappop(heap)
+            if cached[slot] and last_use[slot] == stamp:
+                return slot
+        return None
 
     def expire_idle(self, cutoff: float) -> int:
         """Free cached blocks idle since before ``cutoff`` (TTL eviction).
@@ -698,24 +675,24 @@ class SharedBlockStore:
         in the cache; TTL eviction reclaims those pages ahead of allocation
         pressure.  Blocks are freed in LRU order off the existing lazy
         heap: the integer use clock is monotone in simulated time, so the
-        heap head is also the oldest block by ``last_touch_time`` and the
+        heap head is also the oldest block by cache-entry time and the
         scan stops at the first survivor — O(evicted), not O(cached).
         Returns the number of blocks expired (also accumulated on
         ``ttl_evictions``).
         """
         expired = 0
         heap = self._lru_heap
-        blocks = self.blocks
+        cached = self._cached
+        last_use = self._last_use
         while heap:
-            last_use, block_id = heap[0]
-            block = blocks.get(block_id)
-            if block is None or not block.cached or block.last_use != last_use:
+            stamp, slot = heap[0]
+            if not cached[slot] or last_use[slot] != stamp:
                 heapq.heappop(heap)  # stale entry (re-acquired or freed)
                 continue
-            if block.last_touch_time > cutoff:
+            if self._touch_time[slot] > cutoff:
                 break
             heapq.heappop(heap)
-            self._free(block)
+            self._free(slot)
             expired += 1
         self.ttl_evictions += expired
         return expired
@@ -731,56 +708,43 @@ class SharedBlockStore:
         dropped.
         """
         dropped = 0
-        while True:
-            victim = self._pop_lru_cached()
-            if victim is None:
-                break
-            self._free(victim)
+        while (slot := self._pop_lru()) is not None:
+            self._free(slot)
             dropped += 1
         self.crash_drops += dropped
         return dropped
 
-    def _fits(self, cpu_bytes: float, gpu_bytes: float) -> bool:
-        # Only ever asked about one block's constant split, so the page
-        # needs are the precomputed per-block counts.
-        if self._block_cpu_pages > self.cpu_pool.free_pages:
-            return False
+    def _forget(self, slot: int) -> None:
+        """Take a cached slot out of the cache and the content index."""
+        self._cached[slot] = False
+        self._num_cached -= 1
+        del self._hash_index[self._hashes[slot]]
+        self._hashes[slot] = None
+        self.version += 1
+
+    def _free(self, slot: int) -> None:
+        """Free a cached slot: its pages, index entry and id."""
+        self._forget(slot)
+        if self._block_cpu_pages:
+            self.cpu_pool.unreserve(self._block_cpu_pages)
         if self._block_gpu_pages:
             assert self.gpu_pool is not None  # guaranteed by the constructor
-            if self._block_gpu_pages > self.gpu_pool.free_pages:
-                return False
-        return True
-
-    def _free(self, block: KVBlock) -> None:
-        if block.ref_count != 0:
-            raise MemoryManagerError(
-                f"attempted to free block {block.block_id} with "
-                f"refcount {block.ref_count}"
-            )
-        self._uncache(block)
-        if block.cpu_allocation is not None:
-            self.cpu_pool.free(block.cpu_allocation)
-            self._total_cpu_pages -= block.cpu_allocation.num_pages
-        if block.gpu_allocation is not None:
-            assert self.gpu_pool is not None  # allocation implies the pool
-            self.gpu_pool.free(block.gpu_allocation)
-            self._total_gpu_pages -= block.gpu_allocation.num_pages
-        if block.block_hash is not None:
-            self._hash_index.pop(block.block_hash, None)
-            self.version += 1
-        del self.blocks[block.block_id]
+            self.gpu_pool.unreserve(self._block_gpu_pages)
+        self._ids[slot] = ~self._ids[slot]
+        self._free_slots.append(slot)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _get(self, block_id: int) -> KVBlock:
-        if block_id not in self.blocks:
+    def _slot(self, block_id: int) -> int:
+        if block_id not in self:
             raise MemoryManagerError(f"unknown block {block_id}")
-        return self.blocks[block_id]
+        return block_id & _SLOT_MASK
 
-    def _touch(self, block: KVBlock) -> None:
-        self._clock += 1
-        block.last_use = self._clock
+    def _block_sizes(self, num_tokens: int) -> list[int]:
+        """Token counts of the blocks ``num_tokens`` fresh tokens fill."""
+        full, partial = divmod(num_tokens, self.block_tokens)
+        return [self.block_tokens] * full + ([partial] if partial else [])
 
 
 @dataclass

@@ -275,7 +275,9 @@ class KVCacheManager:
         require_positive_int("num_tokens", num_tokens)
         cache = self._get(sequence_id)
         if self.block_store is not None:
-            self._append_shared(cache, num_tokens)
+            assert cache.block_table is not None  # shared sequences carry one
+            self.block_store.extend_table(cache.block_table.block_ids, num_tokens)
+            cache.num_tokens += num_tokens
             return
         total_bytes = self.bytes_for_tokens(num_tokens)
         gpu_bytes = total_bytes * self.gpu_ratio
@@ -285,32 +287,6 @@ class KVCacheManager:
         if gpu_bytes > 0:
             assert self.gpu_pool is not None  # guaranteed by the constructor
             cache.gpu_allocations.append(self.gpu_pool.allocate(gpu_bytes))
-        cache.num_tokens += num_tokens
-
-    def _append_shared(self, cache: SequenceCache, num_tokens: int) -> None:
-        store = self.block_store
-        assert store is not None  # caller guarantees the shared regime
-        table = cache.block_table
-        assert table is not None  # shared sequences always carry a table
-        remaining = num_tokens
-        while remaining > 0:
-            tail = store.blocks[table.block_ids[-1]] if table.block_ids else None
-            if tail is not None and tail.num_tokens < self.block_tokens:
-                if tail.ref_count > 1 or tail.is_shareable:
-                    # Divergence below a shared block: copy-on-write gives
-                    # this sequence a private, writable tail.  Registration
-                    # only ever shares *full* blocks, so today this guard is
-                    # defensive; it becomes load-bearing the moment partial
-                    # or decode blocks enter the content index.
-                    tail = store.copy_on_write(tail.block_id)
-                    table.block_ids[-1] = tail.block_id
-                take = min(self.block_tokens - tail.num_tokens, remaining)
-                store.append_to_block(tail.block_id, take)
-            else:
-                take = min(self.block_tokens, remaining)
-                block = store.allocate_block(take)
-                table.block_ids.append(block.block_id)
-            remaining -= take
         cache.num_tokens += num_tokens
 
     def release_sequence(self, sequence_id: int) -> None:

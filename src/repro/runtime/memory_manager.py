@@ -40,7 +40,9 @@ class MemoryPool:
     Models one physical memory (GPU HBM, CPU DRAM or the pinned staging
     area).  Allocation returns page indices; freeing returns them to the
     free list.  Double frees and foreign pages raise
-    :class:`MemoryManagerError`.
+    :class:`MemoryManagerError`.  Callers that never address individual
+    pages (the shared KV block store) charge bare counts through
+    :meth:`reserve` / :meth:`unreserve` instead.
     """
 
     def __init__(self, name: str, capacity_bytes: float, page_bytes: float) -> None:
@@ -56,6 +58,8 @@ class MemoryPool:
             )
         self._free: list[int] = list(range(self.num_pages - 1, -1, -1))
         self._allocated: set[int] = set()
+        #: Pages charged by count, without page indices.
+        self._reserved = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -67,13 +71,13 @@ class MemoryPool:
 
     @property
     def free_pages(self) -> int:
-        """Number of pages currently available."""
-        return len(self._free)
+        """Number of pages neither allocated nor reserved."""
+        return len(self._free) - self._reserved
 
     @property
     def used_pages(self) -> int:
-        """Number of pages currently allocated."""
-        return len(self._allocated)
+        """Number of pages currently allocated or reserved."""
+        return self.num_pages - self.free_pages
 
     @property
     def used_bytes(self) -> float:
@@ -125,26 +129,27 @@ class MemoryPool:
         require_positive_int("num_pages", num_pages)
         return self.allocate(num_pages * self.page_bytes)
 
-    def take_pages(self, needed: int) -> PagedAllocation:
-        """Allocate exactly ``needed`` already-rounded pages.
+    def reserve(self, num_pages: int) -> None:
+        """Charge ``num_pages`` pages by count, without handing out indices.
 
-        Hot-path variant of :meth:`allocate` for callers that charge the
-        same page count on every call (the shared block store): the ceil
-        division and byte bookkeeping happen once at caller setup instead
-        of per allocation.  Pages come out in the same order
-        :meth:`allocate` would hand them out.
+        For callers whose pages are pure bookkeeping: every unit they hold
+        costs the same page count, so a counter replaces page tuples.
         """
-        free = self._free
-        if needed > len(free):
+        if num_pages > self.free_pages:
             raise MemoryManagerError(
-                f"pool {self.name!r}: requested {needed} pages "
-                f"but only {len(free)} free"
+                f"pool {self.name!r}: requested {num_pages} pages "
+                f"but only {self.free_pages} free"
             )
-        start = len(free) - needed
-        pages = tuple(reversed(free[start:]))
-        del free[start:]
-        self._allocated.update(pages)
-        return PagedAllocation(pool_name=self.name, pages=pages, page_bytes=self.page_bytes)
+        self._reserved += num_pages
+
+    def unreserve(self, num_pages: int) -> None:
+        """Return ``num_pages`` pages charged through :meth:`reserve`."""
+        if num_pages > self._reserved:
+            raise MemoryManagerError(
+                f"pool {self.name!r}: releasing {num_pages} reserved pages "
+                f"but only {self._reserved} are reserved"
+            )
+        self._reserved -= num_pages
 
     def free(self, allocation: PagedAllocation) -> None:
         """Return an allocation's pages to the pool."""
@@ -164,6 +169,7 @@ class MemoryPool:
     def reset(self) -> None:
         """Free every allocation (used between batches)."""
         self._allocated.clear()
+        self._reserved = 0
         self._free = list(range(self.num_pages - 1, -1, -1))
 
 

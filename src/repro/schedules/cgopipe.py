@@ -142,12 +142,18 @@ class CGOPipeSchedule(PipelineSchedule):
             )
             weight_page_ids.setdefault((step, layer), []).append(task.task_id)
 
+        # Pre-attention runs two slots ahead of post-attention (Algorithm 1).
+        # With a single micro-batch the slot two ahead is the next layer's,
+        # whose pre-attention needs this layer's post-attention first, so
+        # the lookahead is capped at the micro-batch count.
+        lookahead = min(2, n_ub)
         for step in range(num_steps):
             num_slots = num_layers * n_ub
 
-            # Prologue: pre-attention chains for the first two slots, plus the
-            # first weight pages of the next layer (Algorithm 1, lines 2-7).
-            prologue_slots = min(2, num_slots)
+            # Prologue: pre-attention chains for the first lookahead slots,
+            # plus the first weight pages of the next layer (Algorithm 1,
+            # lines 2-7).
+            prologue_slots = min(lookahead, num_slots)
             for slot in range(prologue_slots):
                 layer, mb = slot_to_layer_mb(slot)
                 emit_pre_chain(step, layer, mb)
@@ -197,8 +203,8 @@ class CGOPipeSchedule(PipelineSchedule):
                     step=step,
                 )
                 post_ids[(step, layer, mb)] = post.task_id
-                # Pre-attention chain for the slot two ahead.
-                ahead = slot + 2
+                # Pre-attention chain for the slot ``lookahead`` ahead.
+                ahead = slot + lookahead
                 if ahead < num_slots and ahead >= prologue_slots:
                     ahead_layer, ahead_mb = slot_to_layer_mb(ahead)
                     emit_pre_chain(step, ahead_layer, ahead_mb)

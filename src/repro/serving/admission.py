@@ -115,7 +115,7 @@ class AdmissionController:
         # In the shared-block regime each pool's page holds exactly its share
         # of one block, so a split block costs one page per pool rather than
         # rounding both shares up to a whole full-size page.  The shares use
-        # the same expressions as SharedBlockStore._split_bytes (gpu = b*r,
+        # the same expressions as the SharedBlockStore constructor (gpu = b*r,
         # cpu = b - gpu): a different float grouping could land one ulp
         # above the page size and silently double the per-block charge.
         cpu_page_bytes = page_bytes

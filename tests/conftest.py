@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core.performance_model import EfficiencyModel
 from repro.core.policy import Policy
 from repro.hardware import get_hardware
 from repro.models import get_model
 from repro.workloads import mtbench, summarization, synthetic_reasoning
+
+#: Selected with ``--hypothesis-profile=long``: the slower, deeper property
+#: and state-machine slice.  Tier-1 runs hypothesis's default profile.
+settings.register_profile("long", max_examples=500, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -57,12 +57,12 @@ def family_tokens(family: int, num_tokens: int) -> tuple[int, ...]:
 def check_invariants(manager: KVCacheManager) -> None:
     store = manager.block_store
     # Refcounts are never negative, and every live sequence's blocks reside.
-    for block in store.blocks.values():
+    for block in store.resident_blocks():
         assert block.ref_count >= 0
     for cache in manager.sequences.values():
         for block_id in cache.block_table.block_ids:
-            assert block_id in store.blocks
-            assert store.blocks[block_id].ref_count >= 1
+            assert block_id in store
+            assert store.block(block_id).ref_count >= 1
     # Unique-block byte accounting matches the pool exactly.
     cpu_resident, _ = store.bytes_in_use()
     assert cpu_resident == manager.cpu_pool.used_bytes
@@ -75,7 +75,7 @@ def check_invariants(manager: KVCacheManager) -> None:
     }
     live_cpu, _ = store.bytes_in_use(live_only=True)
     assert live_cpu == sum(
-        store.blocks[block_id].cpu_bytes for block_id in unique_blocks
+        store.block(block_id).cpu_bytes for block_id in unique_blocks
     )
 
 

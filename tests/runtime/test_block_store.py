@@ -55,8 +55,8 @@ class TestSharing:
         tokens = (1, 2, 3, 4, 5)
         assert store.match_prefix(tokens) == []
         hashes = chain_block_hashes(tokens, BLOCK_TOKENS)
-        block = store.allocate_block(BLOCK_TOKENS, block_hash=hashes[0])
-        assert store.match_prefix(tokens) == [block.block_id]
+        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=hashes[0])
+        assert store.match_prefix(tokens) == [block_id]
 
     def test_match_never_covers_whole_prompt(self):
         """Prefill must keep at least one token to compute first logits."""
@@ -70,53 +70,66 @@ class TestSharing:
 
     def test_acquire_shares_without_double_charge(self):
         store = make_store()
-        block = store.allocate_block(BLOCK_TOKENS, block_hash=123)
+        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=123)
         used_before = store.cpu_pool.used_pages
-        store.acquire(block.block_id)
-        assert store.blocks[block.block_id].ref_count == 2
+        store.acquire(block_id)
+        assert store.block(block_id).ref_count == 2
         assert store.cpu_pool.used_pages == used_before
 
     def test_release_retains_hashed_blocks_as_cache(self):
         store = make_store()
-        block = store.allocate_block(BLOCK_TOKENS, block_hash=7)
-        store.release(block.block_id)
-        assert block.block_id in store.blocks  # resident, evictable
+        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=7)
+        store.release(block_id)
+        assert block_id in store  # resident, evictable
         assert store.num_cached_blocks == 1
         assert store.cpu_pool.used_pages == 1
 
     def test_release_frees_private_blocks_immediately(self):
         store = make_store()
-        block = store.allocate_block(BLOCK_TOKENS)
-        store.release(block.block_id)
-        assert block.block_id not in store.blocks
+        block_id = store.allocate_block(BLOCK_TOKENS)
+        store.release(block_id)
+        assert block_id not in store
         assert store.cpu_pool.used_pages == 0
 
     def test_refcount_underflow_raises(self):
         store = make_store()
-        block = store.allocate_block(BLOCK_TOKENS, block_hash=7)
-        store.release(block.block_id)
+        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=7)
+        store.release(block_id)
         with pytest.raises(MemoryManagerError):
-            store.release(block.block_id)
+            store.release(block_id)
 
 
 class TestCopyOnWrite:
     def test_cow_gives_private_copy(self):
         store = make_store()
         shared = store.allocate_block(BLOCK_TOKENS, block_hash=11)
-        store.acquire(shared.block_id)  # two sharers
-        copy = store.copy_on_write(shared.block_id)
-        assert copy.block_id != shared.block_id
-        assert copy.ref_count == 1
-        assert not copy.is_shareable
-        assert store.blocks[shared.block_id].ref_count == 1
+        store.acquire(shared)  # two sharers
+        copy = store.copy_on_write(shared)
+        assert copy != shared
+        assert store.block(copy).ref_count == 1
+        assert not store.block(copy).is_shareable
+        assert store.block(shared).ref_count == 1
         assert store.cow_copies == 1
 
     def test_append_to_shared_block_rejected(self):
         store = make_store()
         shared = store.allocate_block(BLOCK_TOKENS - 1)
-        store.blocks[shared.block_id].ref_count = 2
+        store.acquire(shared)  # a second sharer
         with pytest.raises(MemoryManagerError):
-            store.append_to_block(shared.block_id, 1)
+            store.append_to_block(shared, 1)
+
+    def test_extend_table_copies_a_shared_tail_before_writing(self):
+        store = make_store()
+        shared = store.allocate_block(BLOCK_TOKENS - 1)
+        store.acquire(shared)  # a second sharer
+        table = [shared]
+        store.extend_table(table, 3)
+        # The tail was copied, filled to a full block, then one fresh
+        # block took the remaining two tokens.
+        assert store.cow_copies == 1
+        assert table[0] != shared
+        assert store.block(shared).ref_count == 1
+        assert [store.block(b).num_tokens for b in table] == [BLOCK_TOKENS, 2]
 
 
 class TestEviction:
@@ -124,14 +137,33 @@ class TestEviction:
         store = make_store(num_blocks=2)
         first = store.allocate_block(BLOCK_TOKENS, block_hash=1)
         second = store.allocate_block(BLOCK_TOKENS, block_hash=2)
-        store.release(first.block_id)
-        store.release(second.block_id)
-        store.acquire(second.block_id)  # refresh: second is now MRU + pinned
-        store.release(second.block_id)
+        store.release(first)
+        store.release(second)
+        store.acquire(second)  # refresh: second is now MRU + pinned
+        store.release(second)
         store.allocate_block(BLOCK_TOKENS)  # needs one page -> evict LRU
-        assert first.block_id not in store.blocks
-        assert second.block_id in store.blocks
+        assert first not in store
+        assert second in store
         assert store.evictions == 1
+
+    def test_eviction_interleaves_with_allocation(self):
+        """A run evicts each victim only when its next block does not fit.
+
+        Evicting a run's victims up front would free the cached holder of
+        hash 2 before the run's own hash-2 block is allocated, letting that
+        block claim the hash; interleaved, the incumbent still owns it then
+        and the new block stays private.
+        """
+        store = make_store(num_blocks=4)
+        for block_hash in (10, 2, 11):  # cached LRU order: 10, 2, 11
+            store.release(store.allocate_block(BLOCK_TOKENS, block_hash=block_hash))
+        out: list[int] = []
+        store.register_chain([], 3 * BLOCK_TOKENS, [1, 2, 3], out)
+        # Block 0 takes the free page; block 1 evicts hash 10 and finds
+        # hash 2 still resident; block 2 evicts the hash-2 incumbent.
+        assert store.evictions == 2
+        assert set(store.prefix_index) == {1, 3, 11}
+        assert store.block(out[1]).block_hash is None
 
     def test_failed_gpu_allocation_rolls_back_cpu_pages(self):
         """A split-store allocation that dies on the GPU pool leaks nothing."""
@@ -142,7 +174,7 @@ class TestEviction:
         with pytest.raises(MemoryManagerError):
             store.allocate_block(BLOCK_TOKENS)
         assert store.cpu_pool.used_pages == cpu_used
-        assert len(store.blocks) == 2
+        assert store.num_blocks == 2
 
     def test_eviction_never_removes_referenced_blocks(self):
         store = make_store(num_blocks=2)
@@ -151,15 +183,15 @@ class TestEviction:
         # Pool full, nothing evictable: the pool itself must refuse.
         with pytest.raises(MemoryManagerError):
             store.allocate_block(BLOCK_TOKENS)
-        assert pinned.block_id in store.blocks
+        assert pinned in store
 
     def test_evicted_blocks_leave_the_hash_index(self):
         store = make_store(num_blocks=1)
         tokens = (1, 2, 3, 4, 5)
-        block = store.allocate_block(
+        block_id = store.allocate_block(
             BLOCK_TOKENS, block_hash=chain_block_hashes(tokens, BLOCK_TOKENS)[0]
         )
-        store.release(block.block_id)
+        store.release(block_id)
         assert store.match_prefix(tokens)
         store.allocate_block(BLOCK_TOKENS)  # forces eviction
         assert store.match_prefix(tokens) == []
@@ -168,20 +200,20 @@ class TestEviction:
         store = make_store(num_blocks=2)
         a = store.allocate_block(BLOCK_TOKENS, block_hash=1)
         b = store.allocate_block(BLOCK_TOKENS, block_hash=2)
-        store.release(a.block_id)
-        store.release(b.block_id)
+        store.release(a)
+        store.release(b)
         assert store.can_allocate_blocks(2)
         # Reserving one matched block leaves room for only one new block.
-        assert store.can_allocate_blocks(1, reserved_block_ids=[a.block_id])
-        assert not store.can_allocate_blocks(2, reserved_block_ids=[a.block_id])
+        assert store.can_allocate_blocks(1, reserved_block_ids=[a])
+        assert not store.can_allocate_blocks(2, reserved_block_ids=[a])
 
 
 class TestAccounting:
     def test_bytes_count_unique_blocks_once(self):
         store = make_store()
-        block = store.allocate_block(BLOCK_TOKENS, block_hash=5)
+        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=5)
         for _ in range(3):
-            store.acquire(block.block_id)
+            store.acquire(block_id)
         cpu, gpu = store.bytes_in_use()
         assert cpu == BLOCK_BYTES
         assert gpu == 0.0
@@ -195,8 +227,8 @@ class TestAccounting:
 
     def test_live_only_excludes_cached(self):
         store = make_store()
-        block = store.allocate_block(BLOCK_TOKENS, block_hash=9)
-        store.release(block.block_id)
+        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=9)
+        store.release(block_id)
         assert store.bytes_in_use(live_only=True) == (0.0, 0.0)
         assert store.bytes_in_use() == (BLOCK_BYTES, 0.0)
 
@@ -216,7 +248,7 @@ class TestRegisterChain:
         for block_hash in hashes:
             size = min(BLOCK_TOKENS, remaining)
             manual_ids.append(
-                manual.allocate_block(size, block_hash=block_hash).block_id
+                manual.allocate_block(size, block_hash=block_hash)
             )
             remaining -= size
         bulk = make_store()
@@ -245,7 +277,7 @@ class TestRegisterChain:
         assert store.num_blocks == len(out_first)
         assert len(store.prefix_index) == len(hashes)
         for block_id in out_second:
-            assert store.blocks[block_id].ref_count == 1
+            assert store.block(block_id).ref_count == 1
 
     def test_failure_releases_every_block_it_took(self):
         store = make_store(num_blocks=2)
@@ -259,15 +291,15 @@ class TestRegisterChain:
         # release path leaves them), holding no live references.
         assert out == []
         assert store.bytes_in_use(live_only=True) == (0.0, 0.0)
-        assert all(b.ref_count == 0 for b in store.blocks.values())
+        assert all(b.ref_count == 0 for b in store.resident_blocks())
 
 
 class TestTTLEviction:
     def _cached_block(self, store, block_hash, at_time):
         store.clock_time = at_time
-        block = store.allocate_block(BLOCK_TOKENS, block_hash=block_hash)
-        store.release(block.block_id)  # shareable -> parks in the cache
-        return block
+        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=block_hash)
+        store.release(block_id)  # shareable -> parks in the cache
+        return block_id
 
     def test_expires_only_blocks_idle_past_cutoff(self):
         store = make_store()
@@ -276,24 +308,24 @@ class TestTTLEviction:
         expired = store.expire_idle(cutoff=50.0)
         assert expired == 1
         assert store.ttl_evictions == 1
-        assert old.block_id not in store.blocks
-        assert fresh.block_id in store.blocks
+        assert old not in store
+        assert fresh in store
 
     def test_referenced_blocks_never_expire(self):
         store = make_store()
-        block = store.allocate_block(BLOCK_TOKENS, block_hash=3)
+        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=3)
         store.clock_time = 100.0
         assert store.expire_idle(cutoff=200.0) == 0
-        assert block.block_id in store.blocks
+        assert block_id in store
 
     def test_reacquired_block_survives_stale_heap_entry(self):
         store = make_store()
-        block = self._cached_block(store, block_hash=4, at_time=0.0)
-        store.acquire(block.block_id)  # back in use: lazy heap entry stale
+        block_id = self._cached_block(store, block_hash=4, at_time=0.0)
+        store.acquire(block_id)  # back in use: lazy heap entry stale
         store.clock_time = 100.0
         assert store.expire_idle(cutoff=50.0) == 0
-        assert block.block_id in store.blocks
-        store.release(block.block_id)  # re-cached at t=100
+        assert block_id in store
+        store.release(block_id)  # re-cached at t=100
         assert store.expire_idle(cutoff=50.0) == 0
         assert store.expire_idle(cutoff=150.0) == 1
 
@@ -304,7 +336,7 @@ class TestTTLEviction:
             for i in range(4)
         ]
         assert store.expire_idle(cutoff=15.0) == 2  # t=0 and t=10 expire
-        assert blocks[0].block_id not in store.blocks
-        assert blocks[1].block_id not in store.blocks
-        assert blocks[2].block_id in store.blocks
-        assert blocks[3].block_id in store.blocks
+        assert blocks[0] not in store
+        assert blocks[1] not in store
+        assert blocks[2] in store
+        assert blocks[3] in store

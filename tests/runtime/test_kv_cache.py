@@ -175,5 +175,7 @@ class TestPrefixCacheRegime:
             manager.register_sequence(1, 48, token_ids=tuple(range(500, 548)))
         # The failed registration left nothing behind.
         assert 1 not in manager.sequences
-        live = [b for b in manager.block_store.blocks.values() if b.ref_count > 0]
+        live = [
+            b for b in manager.block_store.resident_blocks() if b.ref_count > 0
+        ]
         assert len(live) == 3

@@ -74,6 +74,33 @@ def test_zero_byte_allocation_uses_no_pages():
     assert pool.used_pages == 0
 
 
+def test_reserve_counts_pages_without_indices():
+    pool = MemoryPool(name="p", capacity_bytes=1000, page_bytes=100)
+    pool.reserve(3)
+    allocation = pool.allocate(200)
+    assert pool.used_pages == 5
+    assert pool.free_pages == 5
+    assert pool.used_bytes == 500
+    assert pool.utilization == 0.5
+    assert not pool.can_allocate(600)
+    pool.unreserve(3)
+    pool.free(allocation)
+    assert pool.free_pages == 10
+
+
+def test_over_reserve_and_over_release_raise():
+    pool = MemoryPool(name="p", capacity_bytes=300, page_bytes=100)
+    pool.allocate(100)
+    with pytest.raises(MemoryManagerError):
+        pool.reserve(3)
+    pool.reserve(2)
+    with pytest.raises(MemoryManagerError):
+        pool.allocate(1)
+    with pytest.raises(MemoryManagerError):
+        pool.unreserve(3)  # only 2 reserved; the allocation is not a reservation
+    assert pool.used_pages == 3
+
+
 def test_page_table_map_lookup_unmap():
     pool = MemoryPool(name="p", capacity_bytes=400, page_bytes=100)
     table = PageTable()
@@ -85,3 +112,25 @@ def test_page_table_map_lookup_unmap():
     assert ("expert", 3) not in table
     with pytest.raises(MemoryManagerError):
         table.lookup(("expert", 3))
+
+
+def test_used_pages_tracks_allocations_plus_reservations():
+    pool = MemoryPool(name="p", capacity_bytes=2000, page_bytes=100)
+    allocations = []
+    reserved = 0
+    for step in range(12):
+        if step % 3 == 0:
+            allocations.append(pool.allocate(100 * (1 + step % 4)))
+        elif step % 3 == 1:
+            pool.reserve(1)
+            reserved += 1
+        elif step % 4 == 2:
+            pool.free(allocations.pop(0))
+        else:
+            pool.unreserve(1)
+            reserved -= 1
+        allocated = sum(a.num_pages for a in allocations)
+        assert pool.used_pages == allocated + reserved
+        assert pool.free_pages == pool.num_pages - allocated - reserved
+    with pytest.raises(AttributeError):
+        pool.free_pages = 0

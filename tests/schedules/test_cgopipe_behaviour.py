@@ -91,3 +91,41 @@ def test_cgopipe_interleaves_weight_pages_with_hidden_loads(mixtral, t4_node, po
         if kind == "weight_transfer"
     ]
     assert weights_between, "weight pages should interleave with hidden loads"
+
+
+def _streamed_policy(batch_size, micro_batch_size):
+    return Policy(
+        batch_size=batch_size, micro_batch_size=micro_batch_size,
+        attention_on_gpu=False, ffn_on_gpu=True, weights_gpu_ratio=0.05,
+    )
+
+
+@pytest.mark.parametrize("batch_size, micro_batch_size", [(1, 1), (2, 2)])
+def test_single_micro_batch_graph_builds(mixtral, t4_node, batch_size, micro_batch_size):
+    """One micro-batch: pre-attention of layer l + 1 follows layer l's post."""
+    schedule = CGOPipeSchedule(mixtral, t4_node, max_sim_layers=4)
+    policy = _streamed_policy(batch_size, micro_batch_size)
+    assert policy.num_micro_batches == 1
+    graph = schedule.build_decode_graph(policy, context_len=480)
+    # Five tasks per layer, the streamed weight pages, one sample.
+    assert len(graph) == 24
+    assert schedule.step_timing(policy, context_len=480).step_time > 0
+
+
+@pytest.mark.parametrize(
+    "batch_size, micro_batch_size, tasks, step_time",
+    [
+        (4, 2, 47, 8.205978301647066),
+        (6, 2, 70, 7.965696823947724),
+        (960, 64, 346, 8.300878050788839),
+    ],
+)
+def test_multi_micro_batch_graphs_unchanged(
+    mixtral, t4_node, batch_size, micro_batch_size, tasks, step_time
+):
+    """Two or more micro-batches keep the two-slot lookahead graph exactly."""
+    schedule = CGOPipeSchedule(mixtral, t4_node, max_sim_layers=4)
+    policy = _streamed_policy(batch_size, micro_batch_size)
+    assert policy.num_micro_batches >= 2
+    assert len(schedule.build_decode_graph(policy, context_len=480)) == tasks
+    assert schedule.step_timing(policy, context_len=480).step_time == step_time

@@ -109,8 +109,9 @@ def test_match_prefix_hashes_agrees_with_token_matching(eager, columnar):
         store.acquire_many(from_hashes)
         block_ids = list(from_hashes)
         for depth in range(len(from_hashes), matchable // BLOCK_TOKENS):
-            block = store.allocate_block(BLOCK_TOKENS, block_hash=chain[depth])
-            block_ids.append(block.block_id)
+            block_ids.append(
+                store.allocate_block(BLOCK_TOKENS, block_hash=chain[depth])
+            )
         acquired.append(block_ids)
     assert some_hit, "chat stream must share prefixes across turns"
     assert some_partial, "later turns must extend earlier matches"

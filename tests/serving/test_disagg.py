@@ -138,7 +138,7 @@ class TestDisaggRun:
             assert core.admission.kv_cache.sequences == {}
             store = core.admission.kv_cache.block_store
             assert store is not None
-            for block in store.blocks.values():
+            for block in store.resident_blocks():
                 assert block.ref_count == 0
                 assert block.cached
             # The content index maps each chain hash to exactly one
@@ -148,7 +148,7 @@ class TestDisaggRun:
                 store.prefix_index
             )
             for block_hash, block_id in store.prefix_index.items():
-                assert store.blocks[block_id].block_hash == block_hash
+                assert store.block(block_id).block_hash == block_hash
         # Conservation: every transferred byte was priced on the link.
         assert controller.transfer_bytes >= 0.0
 

@@ -105,11 +105,11 @@ def assert_store_invariants(core):
     store = core.admission.kv_cache.block_store
     if store is None:
         return
-    for block in store.blocks.values():
+    for block in store.resident_blocks():
         assert block.ref_count >= 0
     for block_hash, block_id in store.prefix_index.items():
-        assert block_id in store.blocks
-        assert store.blocks[block_id].block_hash == block_hash
+        assert block_id in store
+        assert store.block(block_id).block_hash == block_hash
     cpu, gpu = store.bytes_in_use()
     assert cpu == pytest.approx(
         store.num_blocks * store._block_cpu_pages * store.cpu_pool.page_bytes

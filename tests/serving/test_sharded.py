@@ -13,7 +13,7 @@ from repro.serving import (
 from repro.serving.queue import RequestState
 from repro.systems import MoELightningSystem
 from repro.utils.errors import ConfigurationError
-from repro.workloads import mtbench
+from repro.workloads import chat, mtbench
 
 NUM_REQUESTS = 32
 SEED = 0
@@ -126,3 +126,20 @@ def test_single_shard_matches_serving_system(setup):
     routed = run_sharded(setup, 1)
     assert routed.report == single.report
     assert routed.makespan == single.makespan
+
+
+def test_simulated_pricing_serves_single_micro_batch_steps(mixtral, t4_node):
+    """``use_simulator`` prices steps that hold one micro-batch.
+
+    At 0.01 req/s most steps run a single chat request, below the policy's
+    micro-batch size, so the schedule simulator sees one micro-batch.
+    """
+    workload = chat(generation_len=8, num_requests=50)
+    backend = MoELightningSystem(mixtral, t4_node)
+    policy = backend.select_policy(workload)
+    assert policy.micro_batch_size > 1
+    system = ShardedServingSystem(
+        backend, workload, num_shards=1, policy=policy, use_simulator=True
+    )
+    result = system.run(PoissonProcess(0.01), count=50, seed=SEED)
+    assert result.report.num_completed == 50
