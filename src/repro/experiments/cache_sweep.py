@@ -30,7 +30,8 @@ from typing import Sequence
 from repro.hardware import get_hardware
 from repro.models import get_model
 from repro.serving.metrics import SLO
-from repro.serving.server import ServingSystem, default_slo
+from repro.serving.server import default_slo
+from repro.serving.sharded import ServingSystem
 from repro.utils.errors import ConfigurationError
 from repro.workloads import chat
 

@@ -28,7 +28,8 @@ from repro.serving.arrivals import (
 )
 from repro.serving.metrics import SLO
 from repro.serving.scheduler import SCHEDULING_POLICIES
-from repro.serving.server import ServingSystem, default_slo
+from repro.serving.server import default_slo
+from repro.serving.sharded import ServingSystem
 from repro.systems import DeepSpeedZeroSystem, FlexGenSystem, MoELightningSystem
 from repro.systems.base import OffloadingSystem
 from repro.utils.errors import ConfigurationError

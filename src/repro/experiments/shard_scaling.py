@@ -106,9 +106,8 @@ def run_shard_scaling(
 
     rows: list[dict[str, object]] = []
     for index, num_shards in enumerate(shard_counts):
-        # One shard behind the router reproduces the plain ServingSystem
-        # exactly (tested), so every point goes through the same machinery
-        # and reports the same columns.
+        # One shard is the plain ServingSystem's configuration, so every
+        # point goes through the same machinery and reports the same columns.
         sharded = ShardedServingSystem(
             backend,
             workload,

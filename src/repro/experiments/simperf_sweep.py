@@ -116,8 +116,7 @@ def measure_point(
     """Serve one chat stream and report its wall-clock event rate.
 
     ``mode`` selects the code path under measurement: ``"streaming"`` (the
-    hot path: lazy arrivals, sketch reports, incremental routing),
-    ``"exact"`` (event loop with stored samples and polling routing) or
+    hot path: lazy arrivals, sketch reports, incremental routing) or
     ``"time-sliced"`` (the retained pre-optimization reference loop).
     The offered arrival rate is ``load_factor`` x the shards' aggregate
     offline capacity for this workload, keeping queues bounded.
@@ -127,19 +126,17 @@ def measure_point(
     require_positive_int("num_requests", num_requests)
     require_positive_int("num_shards", num_shards)
     require_positive("load_factor", load_factor)
-    if mode not in ("streaming", "exact", "time-sliced"):
+    if mode not in ("streaming", "time-sliced"):
         raise ConfigurationError(f"unknown simperf mode {mode!r}")
     workload = chat(generation_len=generation_len, num_requests=num_requests)
     rate_per_shard = _rate_per_shard(backend, workload, load_factor)
-    streaming = mode == "streaming"
     system = ShardedServingSystem(
         backend,
         workload,
         num_shards=num_shards,
         router=router,
         prefix_cache=prefix_cache,
-        store_samples=not streaming,
-        incremental_routing=streaming,
+        store_samples=mode != "streaming",
     )
     process = PoissonProcess(rate_per_shard * num_shards)
     peak_mem_mb = None

@@ -13,7 +13,8 @@ granularity, without perturbing the simulation:
 * :mod:`repro.obs.sampler` — fixed-interval time series over simulated
   time, exported as JSONL and rendered as ASCII sparklines;
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` facade the serving
-  stack emits into (``ServingSystem.run(..., telemetry=...)``);
+  stack emits into (``ShardedServingSystem.run(..., telemetry=...)``, and
+  so ``ServingSystem.run``, its one-shard case);
 * :mod:`repro.obs.trace_cli` — the ``repro-trace`` CLI: validate and
   summarise exported traces.
 

@@ -12,8 +12,8 @@ methods the serving stack calls at its emission points:
 * the **engine core** records per-step lane spans (decode / prefill /
   weight-stream) and, at retirement, each request's gapless lifecycle
   chain plus its latency histograms;
-* the **event loop** (and the single-engine serving loop) drives the
-  time-series sampler as simulated time advances.
+* the **event loop** drives the time-series sampler as simulated time
+  advances.
 
 Every hook is a no-op when its sink is absent, and the serving stack only
 calls hooks behind ``if telemetry is not None`` — so a run with telemetry
@@ -34,9 +34,9 @@ from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.trace import TraceRecorder
 
 
-def shard_label(shard_id: int | None) -> str:
-    """Lane prefix for one engine core (``engine`` when unsharded)."""
-    return "engine" if shard_id is None else f"shard{shard_id}"
+def shard_label(shard_id: int) -> str:
+    """Lane prefix for one engine core."""
+    return f"shard{shard_id}"
 
 
 def collect_core_stats(cores: Sequence[object]) -> dict[str, float]:
@@ -125,7 +125,7 @@ class Telemetry:
     # ------------------------------------------------------------------
     # Emission hooks (called by the serving stack)
     # ------------------------------------------------------------------
-    def record_step(self, shard_id: int | None, step: object) -> None:
+    def record_step(self, shard_id: int, step: object) -> None:
         """One completed engine step: lane spans + step metrics.
 
         The decode and prefill lanes carry each stream's share of the step

@@ -23,8 +23,8 @@ metrics, so MoE-Lightning and the baselines become comparable under load.
   SLO-goodput.
 * :mod:`repro.serving.server` — the per-shard :class:`EngineCore` state
   machine (event-granular ``begin_step``/``complete_step``, optionally
-  with overlapped prefill/decode streams) and the :class:`ServingSystem`
-  facade driving any offloading backend through a simulated wall clock.
+  with overlapped prefill/decode streams) and the step-pricing
+  :class:`EngineStepModel`.
 * :mod:`repro.serving.router` — the :class:`ShardRouter`
   (round-robin / least-loaded / session-affinity / cache-aware) in front
   of per-shard queues.
@@ -33,7 +33,12 @@ metrics, so MoE-Lightning and the baselines become comparable under load.
   global time order.
 * :mod:`repro.serving.sharded` — :class:`ShardedServingSystem`, N
   data-parallel engines on a :class:`~repro.cluster.spec.ClusterSpec`
-  with per-shard utilization and stream-occupancy reporting.
+  with per-shard utilization and stream-occupancy reporting, and
+  :class:`ServingSystem`, its one-shard case driving any offloading
+  backend through a simulated wall clock.
+
+Every serving run goes through one loop: ``ShardedServingSystem.run`` ->
+:class:`ServingEventLoop`.
 """
 
 from repro.serving.admission import AdmissionController, AdmissionDecision
@@ -75,11 +80,11 @@ from repro.serving.server import (
     EngineCore,
     EngineStep,
     EngineStepModel,
-    ServingResult,
-    ServingSystem,
     default_slo,
 )
 from repro.serving.sharded import (
+    ServingResult,
+    ServingSystem,
     ShardStats,
     ShardedServingResult,
     ShardedServingSystem,

@@ -28,8 +28,8 @@ when the queue empties, which doubles as the drain phase.
 With ``overlap=False`` engines this reproduces the time-sliced loop's
 per-request timeline bit-for-bit whenever routing is load-independent
 (round-robin, session-affinity) — and fixes the load signal where it is
-not.  A single core behind the loop reproduces
-:class:`~repro.serving.server.ServingSystem`'s timeline exactly.
+not.  It is the only serving loop: the single-engine
+:class:`~repro.serving.sharded.ServingSystem` is this loop over one core.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
-"""The online serving facade: any offloading system under live load.
+"""One serving engine: step pricing and the per-shard state machine.
 
-:class:`ServingSystem` wraps an existing :mod:`repro.systems` backend
-(MoE-Lightning, FlexGen, DeepSpeed — anything implementing
-:class:`~repro.systems.base.OffloadingSystem`) and drives it through a
-simulated wall clock fed by an arrival process.  Each engine iteration the
+:class:`EngineCore` runs one engine over an existing :mod:`repro.systems`
+backend (MoE-Lightning, FlexGen, DeepSpeed — anything implementing
+:class:`~repro.systems.base.OffloadingSystem`).  Each engine iteration the
 continuous-batching scheduler picks prefill, decode or idle; the step's
 duration comes from the backend's own cost machinery, so the three systems
 become comparable *under load* with the same models that rank them on
@@ -16,21 +15,24 @@ static batches:
   discrete-event pipeline schedule (CGOPipe / S3 / S4), memoised over
   (batch-size, context) buckets, trading speed for schedule-level fidelity.
 
+The serving loop that feeds cores their arrivals lives in
+:mod:`repro.serving.event_loop`; :mod:`repro.serving.sharded` builds the
+cores and reports the run (a single-engine
+:class:`~repro.serving.sharded.ServingSystem` is its one-shard case).
+
 Determinism: given the same backend, policy, arrival process and seed, a
 run reproduces identical per-request timestamps and metrics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.policy import Policy
 from repro.serving.admission import AdmissionController
-from repro.serving.arrivals import ArrivalProcess, TimedRequest
-from repro.serving.metrics import SLO, ReportBuilder, ServingReport, summarize
+from repro.serving.metrics import SLO
 from repro.serving.queue import RequestQueue, RequestState, ServingRequest
 from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.systems.base import OffloadingSystem
@@ -159,7 +161,7 @@ def default_slo(
     pass on offloading systems), so the SLO binds under load rather than in
     the unloaded regime.  Compare systems under a *shared* SLO by computing
     it once from a reference backend and passing it to every
-    :class:`ServingSystem`.
+    :class:`~repro.serving.sharded.ServingSystem`.
     """
     performance = backend.performance_model(workload)
     prefill_ref = performance.prefill_time(
@@ -202,24 +204,6 @@ class EngineStep:
         return max(0.0, self.decode_time + self.prefill_time - self.duration)
 
 
-def decode_stream_busy(steps: Sequence[EngineStep]) -> float:
-    """Total decode-stream execution time across ``steps``."""
-    return sum(step.decode_time for step in steps)
-
-
-def prefill_stream_busy(steps: Sequence[EngineStep]) -> float:
-    """Total prefill-stream execution time across ``steps``."""
-    return sum(step.prefill_time for step in steps)
-
-
-def overlap_fraction(steps: Sequence[EngineStep]) -> float:
-    """Fraction of total step time with both streams executing."""
-    busy = sum(step.duration for step in steps)
-    if busy <= 0:
-        return 0.0
-    return sum(step.overlapped_time for step in steps) / busy
-
-
 @dataclass
 class _InFlightStep:
     """A launched-but-not-yet-completed engine step (event-granular mode).
@@ -250,9 +234,9 @@ class _InFlightStep:
 class EngineCore:
     """One engine's continuous-batching state machine (a single shard).
 
-    :class:`ServingSystem` drives exactly one core; the sharded serving
-    system drives one per shard through the timestamp-ordered event queue
-    of :mod:`repro.serving.event_loop`.  The core owns its shard's queue,
+    The serving systems of :mod:`repro.serving.sharded` drive one core per
+    shard through the timestamp-ordered event queue of
+    :mod:`repro.serving.event_loop`.  The core owns its shard's queue,
     admission controller, scheduler and running/prefilling sets.
 
     Stepping is *event-granular*: :meth:`begin_step` decides and launches
@@ -260,8 +244,7 @@ class EngineCore:
     :meth:`complete_step` applies its effects, so an event loop can
     interleave other shards' events — and arrival ingestion — between the
     two.  The synchronous :meth:`run_step` (begin + complete back to back)
-    remains the single-engine fast path and is bit-for-bit the historical
-    timeline.
+    drives the time-sliced reference loop.
 
     ``overlap=True`` runs a decode stream and a prefill stream
     concurrently: whole-prompt prefills ride decode iterations as
@@ -281,7 +264,7 @@ class EngineCore:
         max_queue_depth: int | None = None,
         block_tokens: int = 16,
         chunk_prefill_tokens: int | None = None,
-        shard_id: int | None = None,
+        shard_id: int = 0,
         prefix_cache: bool = False,
         overlap: bool = False,
         role: str = "unified",
@@ -467,10 +450,6 @@ class EngineCore:
         mutation, so a router reads N loads in O(N) list accesses with no
         per-core calls (and no scans at all for the chosen shard).
         """
-        if self.shard_id is None:
-            raise SimulationError(
-                "attach_load_board requires a shard_id-bearing core"
-            )
         self._load_board = board
         board[self.shard_id] = self._load
 
@@ -489,8 +468,7 @@ class EngineCore:
         load (``shed``).  A down shard *with* recovery pending queues the
         request — it will be served after the reload.
         """
-        if self.shard_id is not None:
-            serving_request.shard_id = self.shard_id
+        serving_request.shard_id = self.shard_id
         self.offered_count += 1
         now = serving_request.arrival_time
         if self.down and not self.recover_pending:
@@ -1255,238 +1233,3 @@ class EngineCore:
             stats["shed_dropped"] = self.shed_dropped
             stats["unavailable_dropped"] = self.unavailable_dropped
         return stats
-
-
-@dataclass(frozen=True)
-class ServingResult:
-    """Everything one serving run produced."""
-
-    system: str
-    workload: str
-    scheduling: str
-    policy: Policy
-    slo: SLO
-    requests: list[ServingRequest]
-    steps: list[EngineStep]
-    makespan: float
-    report: ServingReport
-    admission_stats: dict[str, int] = field(default_factory=dict)
-    #: Busy totals carried from the engine's O(1) accumulators, so results
-    #: survive ``record_steps=False`` runs (empty ``steps``) with the same
-    #: values a scan over the step list would produce.
-    busy_s: float | None = None
-    decode_busy_total: float | None = None
-    prefill_busy_total: float | None = None
-    overlapped_total: float | None = None
-
-    @property
-    def decode_stream_busy(self) -> float:
-        """Total decode-stream execution time across the run's steps."""
-        if self.decode_busy_total is not None:
-            return self.decode_busy_total
-        return decode_stream_busy(self.steps)
-
-    @property
-    def prefill_stream_busy(self) -> float:
-        """Total prefill-stream execution time across the run's steps."""
-        if self.prefill_busy_total is not None:
-            return self.prefill_busy_total
-        return prefill_stream_busy(self.steps)
-
-    @property
-    def overlap_fraction(self) -> float:
-        """Fraction of engine busy time with both streams executing."""
-        if self.busy_s is not None and self.overlapped_total is not None:
-            if self.busy_s <= 0:
-                return 0.0
-            return self.overlapped_total / self.busy_s
-        return overlap_fraction(self.steps)
-
-    def as_row(self) -> dict[str, object]:
-        """Flat dictionary for the table renderer."""
-        row: dict[str, object] = {
-            "system": self.system,
-            "workload": self.workload,
-            "scheduling": self.scheduling,
-            "batch_size": self.policy.batch_size,
-            "micro_batch_size": self.policy.micro_batch_size,
-        }
-        row.update(self.report.as_row())
-        row["overlap_fraction"] = self.overlap_fraction
-        row["decode_busy_s"] = self.decode_stream_busy
-        row["prefill_busy_s"] = self.prefill_stream_busy
-        return row
-
-
-class ServingSystem:
-    """Continuous-batching serving simulator over an offloading backend."""
-
-    def __init__(
-        self,
-        backend: OffloadingSystem,
-        workload: WorkloadSpec,
-        policy: Policy | None = None,
-        scheduling: str = "fcfs",
-        queue_ordering: str = "fcfs",
-        max_queue_depth: int | None = None,
-        slo: SLO | None = None,
-        use_simulator: bool = False,
-        ctx_bucket: int = 32,
-        block_tokens: int = 16,
-        chunk_prefill_tokens: int | None = None,
-        prefix_cache: bool = False,
-        overlap: bool = False,
-        session_ttl: float | None = None,
-        store_samples: bool = True,
-    ) -> None:
-        self.backend = backend
-        self.workload = workload
-        self.policy = policy or backend.select_policy(workload)
-        self.scheduling = scheduling
-        self.queue_ordering = queue_ordering
-        self.max_queue_depth = max_queue_depth
-        self.slo = slo or default_slo(backend, workload, self.policy)
-        self.block_tokens = block_tokens
-        self.chunk_prefill_tokens = chunk_prefill_tokens
-        self.prefix_cache = prefix_cache
-        self.overlap = overlap
-        if session_ttl is not None and not prefix_cache:
-            raise ConfigurationError(
-                "session_ttl requires prefix_cache=True: without the shared "
-                "block store there are no idle cached sessions to expire"
-            )
-        self.session_ttl = session_ttl
-        #: ``store_samples=False`` switches the report to streaming P²
-        #: aggregation and drops the per-step timeline from the result —
-        #: the per-request timestamps themselves stay bit-for-bit the
-        #: stored-sample run's.
-        self.store_samples = store_samples
-        self.step_model = EngineStepModel(
-            backend,
-            workload,
-            self.policy,
-            use_simulator=use_simulator,
-            ctx_bucket=ctx_bucket,
-        )
-
-    def _as_served(self, request):
-        """Apply the backend's padding discipline to an arriving request.
-
-        Padding-based systems (FlexGen, MoE-Lightning(p)) store and compute
-        over the workload's maximum prompt length for every request, so the
-        padded length must drive KV admission and decode context — exactly
-        as the offline memory/performance models charge it.
-        """
-        if not self.backend.padded:
-            return request
-        return request.padded_to(
-            max(self.workload.max_prompt_len, request.input_len)
-        )
-
-    # ------------------------------------------------------------------
-    # The serving loop
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        arrivals: ArrivalProcess | list[TimedRequest],
-        count: int | None = None,
-        seed: int = 0,
-        telemetry=None,
-    ) -> ServingResult:
-        """Serve a request stream to completion and return the result.
-
-        ``arrivals`` is either an :class:`ArrivalProcess` (materialised with
-        ``count`` and ``seed``) or an explicit pre-built stream.
-        ``telemetry`` optionally attaches a fresh :class:`repro.obs.Telemetry`
-        for this run (recorders accumulate, so pass one per run); without it
-        the loop takes its historical code path and the result is bit-for-bit
-        identical.
-        """
-        if isinstance(arrivals, ArrivalProcess):
-            stream = arrivals.generate(self.workload, count=count, seed=seed)
-        else:
-            stream = sorted(arrivals, key=lambda timed: timed.arrival_time)
-        records = [
-            ServingRequest(
-                request=self._as_served(timed.request),
-                arrival_time=timed.arrival_time,
-            )
-            for timed in stream
-        ]
-
-        builder: ReportBuilder | None = None
-        if not self.store_samples:
-            builder = ReportBuilder(self.slo, store_samples=False)
-        core = EngineCore(
-            backend=self.backend,
-            workload=self.workload,
-            policy=self.policy,
-            step_model=self.step_model,
-            scheduling=self.scheduling,
-            queue_ordering=self.queue_ordering,
-            max_queue_depth=self.max_queue_depth,
-            block_tokens=self.block_tokens,
-            chunk_prefill_tokens=self.chunk_prefill_tokens,
-            prefix_cache=self.prefix_cache,
-            overlap=self.overlap,
-            session_ttl=self.session_ttl,
-            telemetry=telemetry,
-            record_steps=self.store_samples,
-            on_reject=builder.observe if builder is not None else None,
-            on_finish_batch=builder.observe_many if builder is not None else None,
-        )
-        next_arrival = 0
-        while next_arrival < len(records) or core.has_work():
-            # Sample interval boundaries crossed since the last event with
-            # the pre-arrival state (state is constant between events).
-            if telemetry is not None:
-                telemetry.sample(core.now, (core,))
-            # Ingest every arrival up to the current simulated time.
-            while (
-                next_arrival < len(records)
-                and records[next_arrival].arrival_time <= core.now
-            ):
-                core.offer(records[next_arrival])
-                next_arrival += 1
-
-            # begin_step + complete_step is exactly run_step; splitting the
-            # pair here lets the sampler observe the pre-completion state at
-            # boundaries inside the step.
-            completion = core.begin_step()
-            if completion is None:
-                if next_arrival < len(records):
-                    core.now = max(
-                        core.now, records[next_arrival].arrival_time
-                    )
-                    continue
-                if core.has_work():
-                    raise SimulationError(
-                        "serving loop stalled with work outstanding"
-                    )
-                break
-            if telemetry is not None:
-                telemetry.sample(completion, (core,))
-            core.complete_step()
-
-        if telemetry is not None:
-            telemetry.finish_run(core.now, (core,))
-        if builder is not None:
-            report = builder.build(core.now)
-        else:
-            report = summarize(records, makespan=core.now, slo=self.slo)
-        return ServingResult(
-            system=self.backend.name,
-            workload=self.workload.name,
-            scheduling=self.scheduling,
-            policy=self.policy,
-            slo=self.slo,
-            requests=records,
-            steps=core.steps,
-            makespan=core.now,
-            report=report,
-            admission_stats=core.admission_stats(),
-            busy_s=core.busy_time,
-            decode_busy_total=core.decode_stream_busy,
-            prefill_busy_total=core.prefill_stream_busy,
-            overlapped_total=core.overlapped_time,
-        )

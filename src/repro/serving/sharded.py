@@ -1,18 +1,21 @@
-"""Sharded online serving: N data-parallel engines behind a router.
+"""Online serving: N data-parallel engines behind a router.
 
-:class:`ShardedServingSystem` is the scale-out counterpart of
-:class:`~repro.serving.server.ServingSystem`: ``num_shards`` replicas of one
-offloading backend — each an independent :class:`~repro.serving.server.EngineCore`
-with its own queue, admission controller and KV cache — serve a single
-arrival stream split by a :class:`~repro.serving.router.ShardRouter`.
+:class:`ShardedServingSystem` serves a single arrival stream over
+``num_shards`` replicas of one offloading backend — each an independent
+:class:`~repro.serving.server.EngineCore` with its own queue, admission
+controller and KV cache — split by a
+:class:`~repro.serving.router.ShardRouter` (or, disaggregated, by the
+phase-aware router in front of a prefill and a decode pool).
+:class:`ServingSystem` is its one-shard case: the same loop, reported as a
+single engine's :class:`ServingResult`.
 
 The run loop is the timestamp-ordered event queue of
 :mod:`repro.serving.event_loop`: arrivals and per-shard step completions
 interleave in true global time order, so routing decisions, admissions and
 retirements happen exactly when they would on a live cluster — the router
 never observes a shard clock that overshot the arrival instant.  (The
-original time-sliced multiplexer survives as :meth:`run_time_sliced`, a
-reference implementation for equivalence regression tests.)
+original time-sliced multiplexer survives as :meth:`run_time_sliced`: the
+simperf gate times it as its machine normaliser.)
 
 Shards correspond to the devices of a
 :class:`~repro.cluster.spec.ClusterSpec` (scale-out semantics: each shard
@@ -20,8 +23,8 @@ owns its node), and the result reports per-shard utilization and
 prefill/decode stream occupancy alongside the aggregate latency/goodput
 metrics, so imbalance — the router's failure mode — is directly visible.
 
-Determinism matches the single-engine system: same backend, arrival
-process, router policy and seed give identical per-request timestamps.
+Determinism: same backend, arrival process, router policy and seed give
+identical per-request timestamps.
 """
 
 from __future__ import annotations
@@ -35,12 +38,14 @@ from repro.serving.arrivals import ArrivalProcess, TimedRequest
 from repro.serving.event_loop import ServingEventLoop
 from repro.serving.faults import FaultInjector, FaultSchedule, ResiliencePolicy
 from repro.serving.metrics import SLO, ReportBuilder, ServingReport, summarize
-from repro.serving.queue import ServingRequest
+from repro.serving.queue import QUEUE_ORDERINGS, ServingRequest
 from repro.serving.router import PhaseRouter, ShardRouter
-from repro.serving.server import EngineCore, EngineStepModel, default_slo
+from repro.serving.scheduler import SCHEDULING_POLICIES
+from repro.serving.server import EngineCore, EngineStep, EngineStepModel, default_slo
 from repro.systems.base import OffloadingSystem
 from repro.utils.errors import ConfigurationError
-from repro.utils.validation import require_positive_int
+from repro.utils.validation import require_in, require_positive, require_positive_int
+from repro.workloads.spec import WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -155,6 +160,46 @@ class ShardedServingResult:
         return row
 
 
+@dataclass(frozen=True)
+class ServingResult:
+    """Everything one single-engine serving run produced.
+
+    ``requests`` and ``steps`` are empty in streaming mode
+    (``store_samples=False``); the stream busy totals come from the
+    engine's accumulators, so they exist either way.
+    """
+
+    system: str
+    workload: str
+    scheduling: str
+    policy: Policy
+    slo: SLO
+    requests: list[ServingRequest]
+    steps: list[EngineStep]
+    makespan: float
+    report: ServingReport
+    admission_stats: dict[str, int]
+    decode_stream_busy: float
+    prefill_stream_busy: float
+    #: Fraction of engine busy time with both streams executing.
+    overlap_fraction: float
+
+    def as_row(self) -> dict[str, object]:
+        """Flat dictionary for the table renderer."""
+        row: dict[str, object] = {
+            "system": self.system,
+            "workload": self.workload,
+            "scheduling": self.scheduling,
+            "batch_size": self.policy.batch_size,
+            "micro_batch_size": self.policy.micro_batch_size,
+        }
+        row.update(self.report.as_row())
+        row["overlap_fraction"] = self.overlap_fraction
+        row["decode_busy_s"] = self.decode_stream_busy
+        row["prefill_busy_s"] = self.prefill_stream_busy
+        return row
+
+
 class ShardedServingSystem:
     """Routed serving over N shards (round-robin / least-loaded /
     session-affinity / cache-aware), optionally with per-shard prefix
@@ -179,7 +224,6 @@ class ShardedServingSystem:
         prefix_cache: bool = False,
         overlap: bool = False,
         store_samples: bool = True,
-        incremental_routing: bool = True,
         disaggregated: bool = False,
         prefill_shards: int | None = None,
         session_ttl: float | None = None,
@@ -198,6 +242,18 @@ class ShardedServingSystem:
                 f"device count ({cluster.num_devices})"
             )
         require_positive_int("num_shards", num_shards)
+        # Engine knobs are validated here, naming the parameter, so
+        # configuration errors surface at construction rather than when
+        # run() builds the cores.
+        require_in("scheduling", scheduling, SCHEDULING_POLICIES)
+        require_in("queue_ordering", queue_ordering, QUEUE_ORDERINGS)
+        if max_queue_depth is not None:
+            require_positive_int("max_queue_depth", max_queue_depth)
+        require_positive_int("block_tokens", block_tokens)
+        if chunk_prefill_tokens is not None:
+            require_positive_int("chunk_prefill_tokens", chunk_prefill_tokens)
+        if session_ttl is not None:
+            require_positive("session_ttl", session_ttl)
         self.backend = backend
         self.workload = workload
         self.num_shards = num_shards
@@ -293,10 +349,6 @@ class ShardedServingSystem:
         #: The serving timeline is identical either way; only report
         #: percentiles may differ (within P^2 tolerance).
         self.store_samples = store_samples
-        #: ``incremental_routing=False`` keeps the original per-arrival
-        #: polling closure (the regression reference for the O(1) router
-        #: state below).
-        self.incremental_routing = incremental_routing
         # One step model shared by every shard: the replicas are identical,
         # so the (batch, context) -> latency memo is shard-agnostic.
         self.step_model = EngineStepModel(
@@ -309,10 +361,9 @@ class ShardedServingSystem:
         # A device-bearing cluster prices each shard against its own node:
         # per-shard backends (same system, that device's hardware) feed both
         # the shard's step model and its admission budgets.  Clusters without
-        # explicit devices keep the single shared model above — the
-        # bit-for-bit-preserved historical path.
-        self._shard_backends: list[OffloadingSystem] | None = None
-        self._shard_step_models: list[EngineStepModel] | None = None
+        # explicit devices share the backend and the step model above.
+        self._shard_backends = [backend] * num_shards
+        self._shard_step_models = [self.step_model] * num_shards
         self._ready_at = [0.0] * num_shards
         if self.cluster is not None and self.cluster.devices:
             self._shard_backends = []
@@ -338,7 +389,13 @@ class ShardedServingSystem:
         ShardRouter(num_shards, router)
 
     def _as_served(self, request):
-        """Apply the backend's padding discipline (as the single engine does)."""
+        """Apply the backend's padding discipline to an arriving request.
+
+        Padding-based systems (FlexGen, MoE-Lightning(p)) store and compute
+        over the workload's maximum prompt length for every request, so the
+        padded length must drive KV admission and decode context — exactly
+        as the offline memory/performance models charge it.
+        """
         if not self.backend.padded:
             return request
         return request.padded_to(
@@ -355,21 +412,11 @@ class ShardedServingSystem:
     ) -> list[EngineCore]:
         cores = []
         for shard_id in range(self.num_shards):
-            backend = (
-                self._shard_backends[shard_id]
-                if self._shard_backends is not None
-                else self.backend
-            )
-            step_model = (
-                self._shard_step_models[shard_id]
-                if self._shard_step_models is not None
-                else self.step_model
-            )
             core = EngineCore(
-                backend=backend,
+                backend=self._shard_backends[shard_id],
                 workload=self.workload,
                 policy=self.policy,
-                step_model=step_model,
+                step_model=self._shard_step_models[shard_id],
                 scheduling=self.scheduling,
                 queue_ordering=self.queue_ordering,
                 max_queue_depth=self.max_queue_depth,
@@ -441,7 +488,7 @@ class ShardedServingSystem:
 
         The reference implementation for :meth:`_incremental_route_fn` —
         O(shards) (O(shards x prompt) when cache-aware) per arrival, kept
-        for :meth:`run_time_sliced` and the router regression tests.
+        for :meth:`run_time_sliced`.
         """
 
         def route(serving_request: ServingRequest, cores) -> int:
@@ -529,13 +576,19 @@ class ShardedServingSystem:
         Event-driven: a central timestamp-ordered queue interleaves
         arrivals with per-shard step completions, so the router observes
         every shard's true outstanding load at the arrival instant and
-        admissions/retirements apply in global time order.  ``telemetry``
-        optionally attaches a fresh :class:`repro.obs.Telemetry` for this
-        run; disabled, the run is bit-for-bit the historical timeline.
+        admissions/retirements apply in global time order.
+
+        Disaggregated runs route every arrival to the prefill shard that
+        will start it soonest (outstanding prompt tokens over measured
+        prefill speed); a completed prompt's KV migrates to the decode
+        shard with the most headroom as a scheduled transfer event priced
+        on the cluster link, with blocks the target already caches
+        deduplicated out of the transfer.
+
+        ``telemetry`` optionally attaches a fresh
+        :class:`repro.obs.Telemetry` for this run; disabled, the run is
+        bit-for-bit the historical timeline.
         """
-        if self.disaggregated:
-            return self._run_disagg(arrivals, count, seed, telemetry)
-        router = ShardRouter(self.num_shards, self.router_policy)
         builder: ReportBuilder | None = None
         if self.store_samples:
             records = self._materialize(arrivals, count, seed)
@@ -553,79 +606,35 @@ class ShardedServingSystem:
                 on_reject=builder.observe,
                 on_finish_batch=builder.observe_many,
             )
-        if self.incremental_routing:
+        controller: _DisaggController | None = None
+        if self.disaggregated:
+            controller = _DisaggController(self, cores)
+            route = controller.route
+        else:
+            router = ShardRouter(self.num_shards, self.router_policy)
             route = self._incremental_route_fn(router, cores)
-        else:
-            route = self._route_fn(router)
         injector = self._make_injector(cores, telemetry)
         if injector is not None:
-            # Dead/loading shards leave the routable set; drops flow into
-            # the retry machinery; retries re-route through the same
-            # (avoidance-wrapped) policy.
-            route = injector.wrap_route(route)
+            if controller is not None:
+                # The phase router's own readiness filter does the
+                # avoidance: the injector flips ``ready_at[shard]`` to +inf
+                # on crash and to the reload-complete instant on recovery,
+                # and both route_prefill and route_decode already skip
+                # not-yet-ready shards.  No wrapper — a wrapper's
+                # least-loaded fallback could cross the phase boundary.
+                injector.add_ready_view(controller.router.ready_at)
+                injector.on_crash_drops.append(controller.on_crash_drops)
+                controller.injector = injector
+            else:
+                # Dead/loading shards leave the routable set; retries
+                # re-route through the same avoidance-wrapped policy.
+                route = injector.wrap_route(route)
             injector.set_route(route)
             for core in cores:
                 core.on_fail = injector.handle_failure
         loop = ServingEventLoop(cores, route, telemetry=telemetry)
-        if injector is not None:
-            injector.attach(
-                loop,
-                record_sink=records.append if builder is None else None,
-            )
-        if builder is None:
-            makespan = loop.run(records)
-            report = summarize(records, makespan=makespan, slo=self.slo)
-        else:
-            makespan = loop.run_stream(self._stream_records(arrivals, count, seed))
-            report = builder.build(makespan)
-        return self._finalize(records, cores, makespan, report, injector=injector)
-
-    def _run_disagg(
-        self,
-        arrivals: ArrivalProcess | list[TimedRequest],
-        count: int | None,
-        seed: int,
-        telemetry=None,
-    ) -> ShardedServingResult:
-        """Disaggregated run: prefill pool -> priced KV transfer -> decode pool.
-
-        Arrivals route to the prefill shard that will start them soonest
-        (outstanding prompt tokens over measured prefill speed); a completed
-        prompt's KV migrates to the decode shard with the most headroom as a
-        scheduled transfer event priced on the cluster link, with blocks the
-        target already caches deduplicated out of the transfer.
-        """
-        builder: ReportBuilder | None = None
-        if self.store_samples:
-            records = self._materialize(arrivals, count, seed)
-            cores = self._make_cores(telemetry=telemetry)
-        else:
-            records = []
-            builder = ReportBuilder(self.slo, store_samples=False)
-            cores = self._make_cores(
-                telemetry=telemetry,
-                record_steps=False,
-                on_reject=builder.observe,
-                on_finish_batch=builder.observe_many,
-            )
-        controller = _DisaggController(self, cores)
-        injector = self._make_injector(cores, telemetry)
-        route = controller.route
-        if injector is not None:
-            # The phase router's own readiness filter does the avoidance:
-            # the injector flips ``ready_at[shard]`` to +inf on crash and
-            # to the reload-complete instant on recovery, and both
-            # route_prefill and route_decode already skip not-yet-ready
-            # shards.  No wrapper needed — a wrapper's least-loaded
-            # fallback could cross the phase boundary.
-            injector.add_ready_view(controller.router.ready_at)
-            injector.on_crash_drops.append(controller.on_crash_drops)
-            injector.set_route(route)
-            controller.injector = injector
-            for core in cores:
-                core.on_fail = injector.handle_failure
-        loop = ServingEventLoop(cores, route, telemetry=telemetry)
-        controller.attach(loop)
+        if controller is not None:
+            controller.attach(loop)
         if injector is not None:
             injector.attach(
                 loop,
@@ -642,7 +651,7 @@ class ShardedServingSystem:
             cores,
             makespan,
             report,
-            router_name="phase-aware",
+            router_name="phase-aware" if controller is not None else None,
             injector=injector,
         )
 
@@ -687,9 +696,10 @@ class ShardedServingSystem:
         Before each arrival is routed, every shard's engine runs forward to
         the arrival time — O(arrivals x shards), and a step started before
         the arrival runs to completion, so the shard clock can overshoot
-        the instant the router is deciding at.  Retained for equivalence
-        regression tests: with load-independent routing (round-robin,
-        session-affinity) :meth:`run` reproduces this timeline bit-for-bit.
+        the instant the router is deciding at.  Retained as the simperf
+        gate's machine normaliser and for equivalence regression tests:
+        with load-independent routing (round-robin, session-affinity)
+        :meth:`run` reproduces this timeline bit-for-bit.
         """
         if self.disaggregated:
             raise ConfigurationError(
@@ -772,6 +782,74 @@ class ShardedServingSystem:
             shard_stats=shard_stats,
             admission_stats=totals,
             fault_stats=injector.stats() if injector is not None else {},
+        )
+
+
+class ServingSystem(ShardedServingSystem):
+    """Continuous-batching serving over one engine: a one-shard
+    :class:`ShardedServingSystem` reported as a :class:`ServingResult`."""
+
+    def __init__(
+        self,
+        backend: OffloadingSystem,
+        workload: WorkloadSpec,
+        policy: Policy | None = None,
+        scheduling: str = "fcfs",
+        queue_ordering: str = "fcfs",
+        max_queue_depth: int | None = None,
+        slo: SLO | None = None,
+        use_simulator: bool = False,
+        ctx_bucket: int = 32,
+        block_tokens: int = 16,
+        chunk_prefill_tokens: int | None = None,
+        prefix_cache: bool = False,
+        overlap: bool = False,
+        session_ttl: float | None = None,
+        store_samples: bool = True,
+    ) -> None:
+        super().__init__(
+            backend,
+            workload,
+            num_shards=1,
+            policy=policy,
+            scheduling=scheduling,
+            queue_ordering=queue_ordering,
+            max_queue_depth=max_queue_depth,
+            slo=slo,
+            use_simulator=use_simulator,
+            ctx_bucket=ctx_bucket,
+            block_tokens=block_tokens,
+            chunk_prefill_tokens=chunk_prefill_tokens,
+            prefix_cache=prefix_cache,
+            overlap=overlap,
+            session_ttl=session_ttl,
+            store_samples=store_samples,
+        )
+
+    def _finalize(
+        self,
+        records: list[ServingRequest],
+        cores: list[EngineCore],
+        makespan: float,
+        report: ServingReport,
+        router_name: str | None = None,
+        injector: FaultInjector | None = None,
+    ) -> ServingResult:
+        (core,) = cores
+        return ServingResult(
+            system=self.backend.name,
+            workload=self.workload.name,
+            scheduling=self.scheduling,
+            policy=self.policy,
+            slo=self.slo,
+            requests=records,
+            steps=core.steps,
+            makespan=makespan,
+            report=report,
+            admission_stats=core.admission_stats(),
+            decode_stream_busy=core.decode_stream_busy,
+            prefill_stream_busy=core.prefill_stream_busy,
+            overlap_fraction=core.overlap_fraction,
         )
 
 

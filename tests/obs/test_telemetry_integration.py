@@ -88,6 +88,39 @@ class TestZeroImpact:
         ]
 
 
+class TestSingleEngineSampler:
+    def test_sampled_queue_depth_counts_mid_step_arrivals(self, mixtral, t4_node):
+        """Each sample's queue depth is the true queue at its instant.
+
+        An arrival that lands while a step is in flight joins the queue at
+        its arrival time, so the sample at ``t`` must count every request
+        with ``arrival_time <= t < admit_time`` — computed here from the
+        result's own per-request timestamps.
+        """
+        workload = chat(generation_len=8, num_requests=16)
+        backend = MoELightningSystem(mixtral, t4_node)
+        policy = backend.select_policy(workload)
+        rate = 2.0 * offline_capacity(backend, workload, policy)
+        telemetry = Telemetry(trace=False, metrics=False, sample_interval=5.0)
+        result = ServingSystem(backend, workload, policy=policy, overlap=True).run(
+            PoissonProcess(rate), count=16, seed=SEED, telemetry=telemetry
+        )
+        assert all(sr.admit_time is not None for sr in result.requests)
+        samples = telemetry.sampler.samples
+        assert len(samples) > 10
+        queued_somewhere = False
+        for sample in samples:
+            t = sample["t"]
+            expected = sum(
+                1
+                for sr in result.requests
+                if sr.arrival_time <= t < sr.admit_time
+            )
+            queued_somewhere |= expected > 0
+            assert sample["queue_depth"] == expected, f"t={t}"
+        assert queued_somewhere
+
+
 class TestLaneAccounting:
     def test_lane_sums_reproduce_stream_busy_exactly(self, traced):
         result, telemetry = traced

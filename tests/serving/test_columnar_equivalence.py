@@ -146,7 +146,6 @@ def test_cache_aware_timeline_identical_across_token_paths(mixtral, t4_node):
             policy=policy,
             slo=slo,
             store_samples=store_samples,
-            incremental_routing=not store_samples,
         )
         results[store_samples] = system.run(
             PoissonProcess(120.0), count=num_requests, seed=SEED

@@ -2,8 +2,6 @@
 
 The acceptance bar for the event-loop refactor:
 
-* a 1-shard event-driven run reproduces ``ServingSystem.run``'s
-  per-request timestamps exactly;
 * N-shard ``overlap=off`` runs reproduce the original time-sliced loop
   bit-for-bit under load-independent routing (round-robin,
   session-affinity);
@@ -72,20 +70,6 @@ def make_sharded(setup, num_shards, router="round-robin", **kwargs):
 
 
 class TestEquivalence:
-    def test_one_shard_reproduces_serving_system_exactly(self, setup):
-        backend, workload, policy, slo, rate = setup
-        single = ServingSystem(backend, workload, policy=policy, slo=slo).run(
-            PoissonProcess(rate), count=NUM_REQUESTS, seed=SEED
-        )
-        event = make_sharded(setup, 1).run(
-            PoissonProcess(rate), count=NUM_REQUESTS, seed=SEED
-        )
-        single_times = [t[:6] for t in timeline(single)]  # no shard ids
-        event_times = [t[:6] for t in timeline(event)]
-        assert event_times == single_times
-        assert event.makespan == single.makespan
-        assert event.report == single.report
-
     @pytest.mark.parametrize("router", ["round-robin", "session-affinity"])
     def test_four_shards_reproduce_time_sliced_loop(self, setup, router):
         """Load-independent routing: the event queue changes nothing.

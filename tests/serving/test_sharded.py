@@ -143,3 +143,33 @@ def test_simulated_pricing_serves_single_micro_batch_steps(mixtral, t4_node):
     )
     result = system.run(PoissonProcess(0.01), count=50, seed=SEED)
     assert result.report.num_completed == 50
+
+
+@pytest.mark.parametrize("system_cls", [ServingSystem, ShardedServingSystem])
+@pytest.mark.parametrize(
+    "param,value",
+    [
+        ("scheduling", "round-robin"),
+        ("queue_ordering", "lifo"),
+        ("max_queue_depth", 0),
+        ("block_tokens", 0),
+        ("chunk_prefill_tokens", 0),
+        ("session_ttl", 0.0),
+        ("session_ttl", -5.0),
+    ],
+)
+def test_bad_engine_config_rejected_at_construction(setup, system_cls, param, value):
+    """Engine knobs fail in the constructor, naming the parameter.
+
+    ``run()`` is never called: a bad value must not survive until the
+    cores are built (``block_tokens=0`` used to surface there as a
+    ``page_bytes`` error).
+    """
+    backend, workload, policy, slo, rate = setup
+    kwargs = {param: value}
+    if system_cls is ShardedServingSystem:
+        kwargs["num_shards"] = 2
+    with pytest.raises(ConfigurationError, match=param):
+        system_cls(
+            backend, workload, policy=policy, slo=slo, prefix_cache=True, **kwargs
+        )

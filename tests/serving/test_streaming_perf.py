@@ -7,9 +7,10 @@ The performance overhaul's contract is that every optimization is
   reports, no step records) serves bit-for-bit the same per-request
   admit/first-token/finish instants as exact mode, and its P² percentiles
   track the exact ones;
-* incremental routing (shared load board + memoised cache probes) makes
-  bit-for-bit the same decisions as the retained polling closure, for
-  both load-driven and cache-aware policies;
+* incremental routing (shared load board + direct prefix-index probes)
+  hands the router exactly the loads and cached-prefix lengths a poll of
+  every core would read at each arrival, for both load-driven and
+  cache-aware policies;
 * the engine's O(1) counters (load, offered/completed/rejected, busy
   accumulators) agree with the scans they replaced;
 * a long streaming run's peak memory does not grow with stream length.
@@ -20,7 +21,8 @@ import tracemalloc
 import pytest
 
 from repro.experiments.serving_sweep import offline_capacity
-from repro.serving import PoissonProcess, default_slo
+import repro.serving.sharded as sharded_module
+from repro.serving import PoissonProcess, ServingEventLoop, ShardRouter, default_slo
 from repro.serving.metrics import ReportBuilder
 from repro.serving.queue import ServingRequest
 from repro.serving.server import EngineCore, EngineStepModel
@@ -147,36 +149,61 @@ def test_streaming_mode_reproduces_exact_timeline(backend, monkeypatch, router):
 
 
 # ----------------------------------------------------------------------
-# Incremental routing vs. the polling reference
+# Incremental routing state vs. polled core state
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "router,prefix_cache",
     [("least-loaded", False), ("cache-aware", True)],
 )
-def test_incremental_routing_matches_polling(backend, router, prefix_cache):
-    """The O(1) router state never changes a routing decision."""
+def test_incremental_routing_state_matches_polled_cores(
+    backend, router, prefix_cache, monkeypatch
+):
+    """The O(1) router state is what a per-arrival poll would read.
+
+    The loop's route callable is wrapped to expose the live cores; at
+    every arrival the loads (and, cache-aware, the cached-prefix lengths)
+    handed to :meth:`ShardRouter.route` must equal each core's
+    ``load()`` and ``admission.match_prefix(request)`` at that instant.
+    """
     num_requests = 200
-    results = {}
-    for incremental in (False, True):
-        system = make_sharded(
-            backend,
-            num_requests,
-            router=router,
-            prefix_cache=prefix_cache,
-            incremental_routing=incremental,
-        )
-        results[incremental] = run_stream(system, num_requests)
-    polling, incremental = results[False], results[True]
-    assert incremental.makespan == polling.makespan
-    assert [sr.shard_id for sr in incremental.requests] == [
-        sr.shard_id for sr in polling.requests
-    ]
-    assert per_request_instants(incremental.requests) == per_request_instants(
-        polling.requests
+    live: dict[str, object] = {}
+    checked = []
+
+    class WrappedRouteLoop(ServingEventLoop):
+        def __init__(self, cores, route, telemetry=None):
+            def wrapped(serving_request, loop_cores):
+                live["cores"] = loop_cores
+                return route(serving_request, loop_cores)
+
+            super().__init__(cores, wrapped, telemetry=telemetry)
+
+    original = ShardRouter.route
+
+    def polled_route(self, serving_request, loads, prefix_lens=None):
+        cores = live["cores"]
+        assert list(loads) == [core.load() for core in cores]
+        if router == "cache-aware":
+            assert list(prefix_lens) == [
+                core.admission.match_prefix(serving_request.request)
+                for core in cores
+            ]
+        checked.append(serving_request)
+        return original(self, serving_request, loads, prefix_lens)
+
+    monkeypatch.setattr(sharded_module, "ServingEventLoop", WrappedRouteLoop)
+    monkeypatch.setattr(ShardRouter, "route", polled_route)
+    system = make_sharded(
+        backend, num_requests, router=router, prefix_cache=prefix_cache
     )
-    assert [s.as_row() for s in incremental.shard_stats] == [
-        s.as_row() for s in polling.shard_stats
-    ]
+    # A sustainable rate interleaves retirements with arrivals, so the
+    # board is checked after load decrements as well as increments.
+    result = run_stream(
+        system, num_requests, rate=sustainable_rate(backend, num_shards=4)
+    )
+    assert len(checked) == num_requests
+    assert result.report.num_completed + result.report.num_rejected == num_requests
+    if router == "cache-aware":
+        assert result.admission_stats["cache_hits"] > 0
 
 
 def test_load_counter_matches_scan(backend):
