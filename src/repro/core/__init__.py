@@ -11,7 +11,8 @@ This package implements the paper's primary analytical machinery:
 * :mod:`repro.core.memory_model` — GPU/CPU memory-constraint accounting for
   a policy.
 * :mod:`repro.core.performance_model` — the per-layer decode latency model
-  ``T = max(comm_cpu_to_gpu, T_cpu, T_gpu)`` (Eqs. 12-14) and end-to-end
+  ``T = max(comm_cpu_to_gpu, T_cpu, T_gpu)`` (Eqs. 12-14), priced for one
+  policy or as numpy grids over policies x context lengths, and end-to-end
   throughput estimation.
 * :mod:`repro.core.optimizer` — the policy search that maximises estimated
   throughput subject to the memory constraints (§4.2).
@@ -33,6 +34,7 @@ from repro.core.memory_model import (
     PolicyMemoryUsage,
 )
 from repro.core.performance_model import (
+    DecodeGrid,
     LatencyBreakdown,
     PartitionedPerformanceModel,
     PerformanceModel,
@@ -54,6 +56,7 @@ __all__ = [
     "MemoryModel",
     "PartitionedMemoryModel",
     "PolicyMemoryUsage",
+    "DecodeGrid",
     "LatencyBreakdown",
     "PartitionedPerformanceModel",
     "PerformanceModel",

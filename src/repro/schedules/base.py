@@ -18,7 +18,11 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
-from repro.core.performance_model import EfficiencyModel
+from repro.core.performance_model import (
+    EfficiencyModel,
+    decode_sample_positions,
+    integrate_decode,
+)
 from repro.core.policy import Policy
 from repro.hardware.spec import HardwareSpec
 from repro.models.config import ModelConfig
@@ -180,23 +184,14 @@ class PipelineSchedule(abc.ABC):
     ) -> float:
         """Total decode time while the context grows over ``generation_len``.
 
-        The steady-state step time is simulated at ``num_samples`` context
-        lengths and integrated with the trapezoidal rule, matching the
-        analytical model's treatment so the two are directly comparable.
+        The steady-state step time is simulated at ``num_samples`` (at least
+        2) context lengths and integrated with the trapezoidal rule, the
+        analytical model's own sampling and integration, so the two are
+        directly comparable.
         """
         require_positive_int("start_context", start_context)
         require_positive_int("generation_len", generation_len)
-        require_positive_int("num_samples", num_samples)
-        if generation_len == 1:
-            return self.step_timing(policy, start_context + 1).step_time
-        count = min(num_samples, generation_len)
-        positions = [
-            start_context + 1 + round(i * (generation_len - 1) / (count - 1))
-            for i in range(count)
-        ]
-        latencies = [self.step_timing(policy, pos).step_time for pos in positions]
-        total = 0.0
-        for i in range(count - 1):
-            steps = positions[i + 1] - positions[i]
-            total += 0.5 * (latencies[i] + latencies[i + 1]) * steps
-        return total
+        positions = decode_sample_positions(start_context, generation_len, num_samples)
+        return integrate_decode(
+            positions, [self.step_timing(policy, pos).step_time for pos in positions]
+        )

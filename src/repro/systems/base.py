@@ -18,7 +18,7 @@ from repro.hardware.spec import HardwareSpec
 from repro.models.config import ModelConfig
 from repro.schedules.base import PipelineSchedule, StepTiming
 from repro.utils.errors import ConfigurationError
-from repro.utils.validation import require_positive_int
+from repro.utils.validation import require_int_at_least
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -105,7 +105,8 @@ class OffloadingSystem(abc.ABC):
         A 1-device cluster is exactly equivalent to passing its node as
         ``hardware``.
         """
-        require_positive_int("decode_samples", decode_samples)
+        # The trapezoidal decode integration needs two samples to span.
+        require_int_at_least("decode_samples", decode_samples, 2)
         if partition is not None:
             if cluster is not None and partition.cluster != cluster:
                 raise ConfigurationError(

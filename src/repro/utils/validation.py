@@ -33,6 +33,13 @@ def require_positive_int(name: str, value: int) -> int:
     return value
 
 
+def require_int_at_least(name: str, value: int, minimum: int) -> int:
+    """Ensure ``value`` is an integer no smaller than ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigurationError(f"{name} must be an int >= {minimum}, got {value!r}")
+    return value
+
+
 def require_fraction(name: str, value: float) -> float:
     """Ensure ``value`` lies in the closed interval [0, 1]."""
     if value is None or not (0.0 <= value <= 1.0):

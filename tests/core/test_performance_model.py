@@ -93,6 +93,19 @@ def test_decode_time_scales_with_generation_length(mixtral, t4_node, mtbench_wor
     assert 3.0 < long / short < 5.0
 
 
+@pytest.mark.parametrize("generation_len", [1, 16])
+def test_decode_time_rejects_a_single_sample(mixtral, t4_node, mtbench_workload, policy, generation_len):
+    model = PerformanceModel(
+        model=mixtral, hardware=t4_node,
+        workload=mtbench_workload.with_generation_len(generation_len),
+    )
+    with pytest.raises(ConfigurationError, match="num_samples"):
+        model.decode_time(policy, num_samples=1)
+    with pytest.raises(ConfigurationError, match="num_samples"):
+        model.decode_times([policy], num_samples=1)
+    assert model.decode_time(policy, num_samples=2) > 0
+
+
 def test_prefill_time_positive_and_smaller_than_decode(model, policy):
     prefill = model.prefill_time(policy)
     decode = model.decode_time(policy)

@@ -12,7 +12,7 @@ from repro.schedules import (
     FlexGenCPUSchedule,
     FlexGenSchedule,
 )
-from repro.utils.errors import ScheduleError
+from repro.utils.errors import ConfigurationError, ScheduleError
 
 CPU_POLICY = Policy(
     batch_size=96, micro_batch_size=32, attention_on_gpu=False,
@@ -90,6 +90,15 @@ def test_decode_time_increases_with_generation_length(
     short = schedule.decode_time(policy, start_context=200, generation_len=8, num_samples=2)
     long = schedule.decode_time(policy, start_context=200, generation_len=32, num_samples=2)
     assert long > 2 * short
+
+
+@pytest.mark.parametrize("generation_len", [1, 16])
+def test_decode_time_rejects_a_single_sample(mixtral, t4_node, generation_len):
+    schedule = CGOPipeSchedule(mixtral, t4_node, max_sim_layers=2)
+    with pytest.raises(ConfigurationError, match="num_samples"):
+        schedule.decode_time(
+            CPU_POLICY, start_context=200, generation_len=generation_len, num_samples=1
+        )
 
 
 def test_cpu_schedules_reject_gpu_attention_policy(mixtral, t4_node):

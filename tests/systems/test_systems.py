@@ -62,6 +62,13 @@ def test_flexgen_rejects_unknown_policy_mode(mixtral, t4_node):
         FlexGenSystem(mixtral, t4_node, policy_mode="magic")
 
 
+@pytest.mark.parametrize("decode_samples", [0, 1])
+def test_systems_reject_fewer_than_two_decode_samples(mixtral, t4_node, decode_samples):
+    """One sample cannot span a trapezoid; it used to divide by zero in ``run``."""
+    with pytest.raises(ConfigurationError, match="decode_samples"):
+        MoELightningSystem(mixtral, t4_node, decode_samples=decode_samples)
+
+
 def test_deepspeed_policy_whole_batch_gpu_kv(mixtral, t4_node, workload):
     system = DeepSpeedZeroSystem(mixtral, t4_node, max_sim_layers=3)
     policy = system.select_policy(workload)
