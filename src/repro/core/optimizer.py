@@ -18,8 +18,8 @@ The feasible candidates are priced together: decode as one numpy grid per
 placement (:meth:`~repro.core.performance_model.PerformanceModel.throughputs`),
 with operator costs computed once per shape.  For Mixtral-8x7B on one T4
 with a chat workload (gen 128; 523 candidates, 327 feasible) a search
-takes about 26 ms; pricing each candidate with scalar ``estimate`` calls
-took about 160 ms (2-vCPU VM, host-speed-scaled ``setup_s`` of the
+takes about 27 ms; pricing each candidate with scalar ``estimate`` calls
+took about 164 ms (2-vCPU VM, host-speed-scaled ``setup_s`` of the
 ``chat-decode`` benchmark workload, medians of 10 runs).
 """
 

@@ -25,7 +25,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -198,25 +198,6 @@ def integrate_decode(positions: Sequence[int], latencies):
     return total
 
 
-def _memoised(method):
-    """Cache ``method(self, *args)`` in ``self._memo``.
-
-    For the memory model and the per-shape operator task times, which
-    depend only on the model's fields and the (hashable) arguments.
-    """
-    name = method.__name__
-
-    @wraps(method)
-    def wrapper(self, *args):
-        key = (name, *args)
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = method(self, *args)
-        return value
-
-    return wrapper
-
-
 def _any_positive(values) -> bool:
     """Whether a number, or any entry of an array, is positive."""
     if isinstance(values, np.ndarray):
@@ -277,8 +258,6 @@ class PerformanceModel:
     workload: WorkloadSpec
     efficiency: EfficiencyModel = field(default_factory=EfficiencyModel)
     padded: bool = False
-    #: Memory model and operator task times, filled on first use (``_memoised``).
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Effective hardware rates
@@ -308,8 +287,17 @@ class PerformanceModel:
         """Derated CPU-GPU interconnect bandwidth (per direction)."""
         return self.hardware.cpu_gpu_bandwidth * self.efficiency.interconnect
 
-    @property
-    @_memoised
+    @cached_property
+    def _point_times(self) -> dict:
+        """Operator task times of one-point decode calls, keyed by shape.
+
+        A serving engine prices all its decode steps through one model, and
+        μ (often the context bucket too) repeats across batch sizes.  Grids
+        share their operator times through local dicts instead.
+        """
+        return {}
+
+    @cached_property
     def memory_model(self) -> MemoryModel:
         """The matching memory-constraint model (built once per model)."""
         return MemoryModel(
@@ -339,7 +327,6 @@ class PerformanceModel:
     # ------------------------------------------------------------------
     # Decode-stage per-layer latency (Eqs. 12-14)
     # ------------------------------------------------------------------
-    @_memoised
     def _micro_batch_times(
         self, micro_batch_size: int, ffn_on_gpu: bool
     ) -> tuple[float, float, float]:
@@ -355,7 +342,6 @@ class PerformanceModel:
             ffn_task(ffn.flops, ffn.total_bytes),
         )
 
-    @_memoised
     def _attention_time(
         self, attention_on_gpu: bool, micro_batch_size: int, context_len: int
     ) -> float:
@@ -491,7 +477,6 @@ class PerformanceModel:
 
         return comm_htod, comm_dtoh, t_cpu, t_gpu, components
 
-    @_memoised
     def _head_time(self, batch_size: int) -> float:
         """LM-head time of one step (or prefill) over ``batch_size`` rows."""
         head = lm_head_cost(self.model, batch_size)
@@ -507,10 +492,16 @@ class PerformanceModel:
         """Latency breakdown for one decode step of one layer at ``context_len``."""
         require_positive_int("context_len", context_len)
         mu = policy.micro_batch_size
-        columns = self._policy_columns(
-            policy, self._micro_batch_times(mu, policy.ffn_on_gpu)
-        )
-        t_attention = self._attention_time(policy.attention_on_gpu, mu, context_len)
+        times = self._point_times
+        key = (mu, policy.ffn_on_gpu)
+        micro_batch = times.get(key)
+        if micro_batch is None:
+            micro_batch = times[key] = self._micro_batch_times(*key)
+        columns = self._policy_columns(policy, micro_batch)
+        key = (policy.attention_on_gpu, mu, context_len)
+        t_attention = times.get(key)
+        if t_attention is None:
+            t_attention = times[key] = self._attention_time(*key)
         comm_htod, comm_dtoh, t_cpu, t_gpu, components = self._decode_terms(
             policy.attention_on_gpu, policy.ffn_on_gpu, columns, t_attention, context_len
         )
@@ -544,14 +535,14 @@ class PerformanceModel:
         ((attention_on_gpu, ffn_on_gpu),) = placements
         for context_len in contexts:
             require_positive_int("context_len", context_len)
+        mus = dict.fromkeys(p.micro_batch_size for p in policies)
+        micro_batch = {mu: self._micro_batch_times(mu, ffn_on_gpu) for mu in mus}
         attention = {
             mu: [self._attention_time(attention_on_gpu, mu, ctx) for ctx in contexts]
-            for mu in dict.fromkeys(p.micro_batch_size for p in policies)
+            for mu in mus
         }
-        rows = [
-            self._policy_columns(p, self._micro_batch_times(p.micro_batch_size, ffn_on_gpu))
-            for p in policies
-        ]
+        heads = {b: self._head_time(b) for b in dict.fromkeys(p.batch_size for p in policies)}
+        rows = [self._policy_columns(p, micro_batch[p.micro_batch_size]) for p in policies]
         columns = _DecodeColumns(*(np.array(column)[:, None] for column in zip(*rows)))
         comm_htod, comm_dtoh, t_cpu, t_gpu, components = self._decode_terms(
             attention_on_gpu,
@@ -565,7 +556,7 @@ class PerformanceModel:
             np.broadcast_to(term, shape) for term in (comm_htod, comm_dtoh, t_cpu, t_gpu)
         )
         t_layer = np.maximum(np.maximum(comm_htod, comm_dtoh), np.maximum(t_cpu, t_gpu))
-        t_head = np.array([self._head_time(p.batch_size) for p in policies])[:, None]
+        t_head = np.array([heads[p.batch_size] for p in policies])[:, None]
         return DecodeGrid(
             comm_htod=comm_htod,
             comm_dtoh=comm_dtoh,
@@ -628,7 +619,6 @@ class PerformanceModel:
     # ------------------------------------------------------------------
     # Prefill stage
     # ------------------------------------------------------------------
-    @_memoised
     def _prefill_micro_batch_time(self, micro_batch_size: int, prompt: int) -> float:
         """GPU time of one layer's prefill over one micro-batch of prompts."""
         mu = micro_batch_size
@@ -652,9 +642,16 @@ class PerformanceModel:
         stream up, prompt KV streams down to the CPU cache, and compute is
         usually the binding term.
         """
+        t_micro_batch = self._prefill_micro_batch_time(
+            policy.micro_batch_size, self.prompt_len()
+        )
+        return self._prefill_time(policy, t_micro_batch)
+
+    def _prefill_time(self, policy: Policy, t_micro_batch: float) -> float:
+        """:meth:`prefill_time` given one micro-batch's layer prefill time."""
         prompt = self.prompt_len()
         n_ub = policy.num_micro_batches
-        gpu_time = n_ub * self._prefill_micro_batch_time(policy.micro_batch_size, prompt)
+        gpu_time = n_ub * t_micro_batch
         t_collective = self._collective_prefill_time(policy)
         if t_collective > 0.0:
             gpu_time += t_collective
@@ -698,7 +695,14 @@ class PerformanceModel:
         policy optimizer ranks its candidates with it.
         """
         decode = self.decode_times(policies)
-        prefill = np.array([self.prefill_time(p) for p in policies])
+        prompt = self.prompt_len()
+        micro_batch = {
+            mu: self._prefill_micro_batch_time(mu, prompt)
+            for mu in dict.fromkeys(p.micro_batch_size for p in policies)
+        }
+        prefill = np.array(
+            [self._prefill_time(p, micro_batch[p.micro_batch_size]) for p in policies]
+        )
         tokens = np.array([p.batch_size for p in policies]) * self.workload.generation_len
         total = prefill + decode
         return np.divide(tokens, total, out=np.zeros(len(policies)), where=total > 0)
@@ -740,8 +744,7 @@ class PartitionedPerformanceModel(PerformanceModel):
         """Derated device-to-device link bandwidth (per direction/device)."""
         return self.plan.cluster.link.bandwidth * self.efficiency.interconnect
 
-    @property
-    @_memoised
+    @cached_property
     def memory_model(self) -> MemoryModel:
         """The matching per-shard memory-constraint model (built once)."""
         from repro.core.memory_model import PartitionedMemoryModel
