@@ -56,6 +56,7 @@ def test_bench_disagg_sweep(benchmark, print_rows):
             "fast_hardware": "1xL4",
             **SWEEP_KWARGS,
         },
+        benchmark="disagg",
     )
     by_config = {row["config"]: row for row in rows}
     assert set(by_config) == {"unified", "disagg", "disagg-het"}

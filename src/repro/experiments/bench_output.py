@@ -133,15 +133,18 @@ def write_bench_serving_json(
     path: str | Path,
     rows: Sequence[Mapping[str, object]],
     meta: Mapping[str, object] | None = None,
+    benchmark: str = "serving",
 ) -> dict[str, object]:
-    """Write the serving benchmark artifact; returns the written document.
+    """Write a serving-family benchmark artifact; returns the written document.
 
-    Every artifact is stamped with its schema version, the emitting
-    checkout's git SHA and a UTC run timestamp, so trend tooling can bucket
-    results by code version without trusting file mtimes.
+    ``benchmark`` names the artifact's family (``"disagg"`` for the
+    disaggregation sweep).  Every artifact is stamped with its schema
+    version, the emitting checkout's git SHA and a UTC run timestamp, so
+    trend tooling can bucket results by code version without trusting file
+    mtimes.
     """
     document: dict[str, object] = {
-        "benchmark": "serving",
+        "benchmark": benchmark,
         "schema_version": BENCH_SCHEMA_VERSION,
         "git_sha": _git_sha(),
         "created_at": datetime.now(timezone.utc).isoformat(),

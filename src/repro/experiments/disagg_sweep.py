@@ -440,7 +440,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             "load_factor": args.load_factor,
             "seed": args.seed,
         }
-        write_bench_serving_json(args.json, rows, meta=meta)
+        write_bench_serving_json(args.json, rows, meta=meta, benchmark="disagg")
         print(f"wrote {args.json}")
     return 0
 

@@ -45,7 +45,8 @@ def collect_core_stats(cores: Sequence[object]) -> dict[str, float]:
     Per shard: queue depth, in-flight population, outstanding load and KV
     pool occupancy.  Aggregates: totals of those, the cumulative prefix
     cache hit rate, the cumulative overlap fraction and the block store's
-    resident/cached block counts (zero with the cache off).
+    resident/cached block counts (with the cache off every resident block
+    is private and none is cached).
     """
     values: dict[str, float] = {}
     total_queue = total_running = total_load = 0.0

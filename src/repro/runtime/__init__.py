@@ -20,9 +20,10 @@ engine.  This package provides the substrate those schedules execute on:
   ``2 x sizeof(W_L)`` double buffer and pinned-memory staging.
 * :mod:`repro.runtime.kv_cache` — a paged KV cache with per-request block
   tables split across CPU and GPU pools.
-* :mod:`repro.runtime.block_store` — shared, reference-counted KV blocks
-  with prefix caching: content-hash-chained prompt blocks, copy-on-write
-  on divergence, LRU eviction of unreferenced cache.
+* :mod:`repro.runtime.block_store` — the block store behind it:
+  reference-counted, content-hash-chained prompt blocks shared through the
+  prefix cache with LRU eviction of unreferenced cache, and one counted
+  private run per sequence for everything else.
 * :mod:`repro.runtime.costs` — task-duration model derived from the same
   operator FLOP/byte counts the analytical performance model uses.
 """

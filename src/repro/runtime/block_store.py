@@ -1,39 +1,55 @@
-"""Shared, reference-counted KV block store with prefix caching.
+"""Reference-counted KV block store with prefix caching and private runs.
 
-The per-sequence paged KV cache of :mod:`repro.runtime.kv_cache` gives every
-sequence exclusive ownership of its pages.  This module replaces that
-ownership model with a *shared block store* in the style of vLLM's prefix
-caching / SGLang's RadixAttention:
+MoE-Lightning keeps the KV cache in fixed-size pages.  This store divides
+it into **blocks** of ``block_tokens`` token positions (all layers of one
+block stored together), each charged the same whole pages on the CPU and
+GPU pools, and backs every :class:`~repro.runtime.kv_cache.KVCacheManager`
+with the prefix cache on or off.  A sequence's :class:`BlockTable` holds
+two kinds of block:
 
-* the KV cache is divided into fixed-size **blocks** of ``block_tokens``
-  token positions (all layers of one block are stored together);
-* a *full* block whose content is a pure function of the token prefix it
-  holds carries a **chained content hash** (the hash of its tokens combined
-  with the previous block's hash), so two sequences with the same prompt
-  prefix map to the *same physical block*;
-* blocks are **reference counted**: a block is shared by every sequence
-  whose block table points at it, charged to the memory pools exactly once,
-  and becomes evictable — not freed — when its refcount drops to zero;
-* refcount-zero hashed blocks form the **prefix cache** and are reclaimed
-  in LRU order only when an allocation actually needs their pages;
-* a sequence that needs to *write into* a shared block (divergence below a
-  cached prefix) triggers **copy-on-write**: it gets a private copy and
-  drops its reference to the shared original.
+* **hashed blocks** — a *full* prompt block whose content is a pure
+  function of the token prefix it holds carries a **chained content hash**
+  (its tokens mixed into the previous block's hash), so two sequences with
+  the same prompt prefix map to the *same physical block*, in the style of
+  vLLM's prefix caching / SGLang's RadixAttention.  Hashed blocks live in
+  slot columns with ids, are **reference counted**, are charged once however
+  many sequences share them, and become evictable — not freed — when their
+  refcount drops to zero.  Refcount-zero hashed blocks form the **prefix
+  cache**, reclaimed in LRU order only when an allocation needs their pages
+  (or by the TTL and crash sweeps);
+* one **private run** — every other block the sequence holds: its partial
+  prompt tail, full blocks whose hash another block already owns, and every
+  reserved generation block.  Nothing can ever match them, so they take no
+  slots and no ids: the run is a block count plus the fill of its last
+  block, charged with one page reservation per pool and returned with one.
+
+Only private runs grow: an append fills the run's tail block, then spills
+into fresh private blocks.  Shared blocks are full and never written, so
+nothing needs copy-on-write.  With the prefix cache off nothing is hashed,
+and each sequence is a single private run.
+
+Eviction interleaves with allocation exactly as block-at-a-time allocation
+would: the first blocks of a registration take free pages, and each later
+block, hashed or private, evicts one LRU victim just before it is placed.
+A victim holding a hash the registration is about to claim is therefore
+gone exactly when that block arrives, and not earlier.  A release stamps
+each newly cached block from a counter that only grows, so the LRU order
+is a FIFO queue; an entry whose block was re-acquired or freed since it
+was queued is skipped when it reaches the head.
 
 Invariants (property-tested in ``tests/properties``):
 
 * a refcount is never negative;
-* bytes in use equal the sum over *unique* resident blocks — sharers are
-  never double counted;
-* eviction only ever selects blocks with a zero refcount;
-* with no matching prefixes the store degenerates to per-sequence
-  allocation: every block is private and freed as soon as its one owner
-  releases it.
+* pool pages in use equal hashed blocks plus live private blocks, each
+  charged once — sharers are never double counted;
+* eviction only ever selects hashed blocks with a zero refcount;
+* with no matching prefixes every block is private and returns to the
+  pools as soon as its one owner releases it.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -87,19 +103,34 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 _NEXT_GENERATION = 1 << _SLOT_BITS
 
 
+@dataclass
+class BlockTable:
+    """One sequence's view into the store.
+
+    ``block_ids`` are its hashed blocks in order (shared or shareable);
+    ``private_blocks`` counts its private run and ``tail_tokens`` is the
+    fill of the run's last block.
+    """
+
+    block_ids: list[int] = field(default_factory=list)
+    private_blocks: int = 0
+    tail_tokens: int = 0
+
+    def __len__(self) -> int:
+        return len(self.block_ids) + self.private_blocks
+
+
 @dataclass(frozen=True, slots=True)
 class KVBlock:
-    """Read-only snapshot of one resident block (introspection only).
+    """Read-only snapshot of one resident hashed block (introspection only).
 
     The store keeps no per-block objects; :meth:`SharedBlockStore.block`
     assembles this view from its slot columns on demand.
     """
 
     block_id: int
-    num_tokens: int
     ref_count: int
-    block_hash: int | None
-    last_use: int
+    block_hash: int
     #: Whether the block sits in the reusable cache (refcount zero,
     #: retained for prefix matching).
     cached: bool
@@ -109,22 +140,18 @@ class KVBlock:
     cpu_bytes: float
     gpu_bytes: float
 
-    @property
-    def is_shareable(self) -> bool:
-        """Whether the block is indexed by content (a full prefix block)."""
-        return self.block_hash is not None
-
 
 class SharedBlockStore:
-    """Ref-counted KV blocks over CPU/GPU memory pools with LRU reuse.
+    """Ref-counted hashed blocks and counted private runs over two pools.
 
     ``block_bytes`` is the full KV footprint of one block across all layers;
-    ``gpu_ratio`` splits every block between the pools exactly as the
-    policy's ``r_c`` splits per-sequence allocations in the unshared path.
+    ``gpu_ratio`` splits every block between the pools as the policy's
+    ``r_c`` splits the KV cache.
 
-    Blocks live in parallel slot columns (refcount, content hash, tokens,
-    LRU stamp, cached flag, cache-entry time, id) that grow on demand and
-    recycle freed slots through a stack.  Every block charges the same
+    Hashed blocks live in parallel slot columns (refcount, content hash,
+    cache-entry time, release stamp, id) that grow on demand and recycle
+    freed slots through a stack; a resident block is cached exactly when
+    its refcount is zero.  Every block charges the same
     pages, so the pools only count them (:meth:`MemoryPool.reserve`).
     """
 
@@ -156,24 +183,31 @@ class SharedBlockStore:
         self._block_gpu_pages = (
             gpu_pool.pages_needed(gpu_block_bytes) if gpu_pool is not None else 0
         )
+        #: ``(pool, pages per block)`` for each pool a block charges.
+        self._charges = tuple(
+            (pool, pages)
+            for pool, pages in (
+                (cpu_pool, self._block_cpu_pages),
+                (gpu_pool, self._block_gpu_pages),
+            )
+            if pages
+        )
         # Slot columns.  ``_ids[slot]`` is the id the slot answers to; a
         # free slot holds its last id complemented (negative), so the next
         # tenant's generation follows from it and no live id matches.
         self._refs: list[int] = []
         self._hashes: list[int | None] = []
-        self._tokens: list[int] = []
-        self._last_use: list[int] = []
-        self._cached: list[bool] = []
         self._touch_time: list[float] = []
+        self._stamps: list[int] = []
         self._ids: list[int] = []
         self._free_slots: list[int] = []
         self._hash_index: dict[int, int] = {}
-        self._clock = 0
+        self._private_blocks = 0
         self._num_cached = 0
+        self._stamp = 0
         self.evictions = 0
         self.ttl_evictions = 0
         self.crash_drops = 0
-        self.cow_copies = 0
         #: Simulated time, advanced (monotonically) by the engine that owns
         #: the store; only consulted by TTL eviction, so stores driven
         #: without a clock behave exactly as before.
@@ -182,19 +216,24 @@ class SharedBlockStore:
         #: evicted); routers memoise prefix matches against this, so a
         #: stale memo can never survive an index change.
         self.version = 0
-        # LRU eviction order with lazy deletion: ``(last_use, slot)`` is
-        # pushed when a block enters the cache.  ``last_use`` comes from a
-        # unique monotone clock, so an entry is live exactly when its slot
-        # is still cached at that stamp; anything else is skipped on pop.
-        self._lru_heap: list[tuple[int, int]] = []
+        # LRU order with lazy deletion: ``(stamp, slot)`` is queued when a
+        # block enters the cache.  Stamps only grow, so the queue is in LRU
+        # order, and an entry is live exactly when its slot is still cached
+        # at that stamp; anything else is skipped at the head.
+        self._lru: deque[tuple[int, int]] = deque()
 
     # ------------------------------------------------------------------
     # Introspection / accounting
     # ------------------------------------------------------------------
     @property
     def num_blocks(self) -> int:
-        """Resident blocks, referenced or cached."""
-        return len(self._ids) - len(self._free_slots)
+        """Resident blocks: hashed (referenced or cached) plus private."""
+        return len(self._ids) - len(self._free_slots) + self._private_blocks
+
+    @property
+    def num_private_blocks(self) -> int:
+        """Blocks held in private runs."""
+        return self._private_blocks
 
     @property
     def num_cached_blocks(self) -> int:
@@ -202,21 +241,21 @@ class SharedBlockStore:
         return self._num_cached
 
     def __contains__(self, block_id: int) -> bool:
-        """Whether ``block_id`` names a resident block."""
+        """Whether ``block_id`` names a resident hashed block."""
         slot = block_id & _SLOT_MASK
         return slot < len(self._ids) and self._ids[slot] == block_id
 
     def block(self, block_id: int) -> KVBlock:
-        """A snapshot of one resident block."""
-        slot = self._slot(block_id)
+        """A snapshot of one resident hashed block."""
+        if block_id not in self:
+            raise MemoryManagerError(f"unknown block {block_id}")
+        slot = block_id & _SLOT_MASK
         gpu_pool = self.gpu_pool
         return KVBlock(
             block_id=block_id,
-            num_tokens=self._tokens[slot],
             ref_count=self._refs[slot],
             block_hash=self._hashes[slot],
-            last_use=self._last_use[slot],
-            cached=self._cached[slot],
+            cached=self._refs[slot] == 0,
             last_touch_time=self._touch_time[slot],
             cpu_bytes=self._block_cpu_pages * self.cpu_pool.page_bytes,
             gpu_bytes=(
@@ -225,16 +264,16 @@ class SharedBlockStore:
         )
 
     def resident_blocks(self) -> list[KVBlock]:
-        """Snapshots of every resident block, in slot order."""
+        """Snapshots of every resident hashed block, in slot order."""
         return [self.block(block_id) for block_id in self._ids if block_id >= 0]
 
     def bytes_in_use(self, live_only: bool = False) -> tuple[float, float]:
         """(cpu, gpu) bytes charged across unique resident blocks.
 
-        ``live_only`` restricts the sum to blocks with a positive refcount;
-        either way each block is counted exactly once no matter how many
-        sequences share it.  Every block charges the same whole pages, so
-        block counts reproduce the per-block byte sum exactly.
+        ``live_only`` leaves out cached (refcount-zero) blocks; either way
+        each block is counted exactly once no matter how many sequences
+        share it.  Every block charges the same whole pages, so block counts
+        reproduce the per-block byte sum exactly.
         """
         blocks = self.num_blocks
         if live_only:
@@ -265,6 +304,15 @@ class SharedBlockStore:
             "live_gpu_bytes": live_gpu,
         }
 
+    def _free_fit(self) -> int:
+        """Fresh blocks the free pages alone could hold."""
+        fit = -1
+        for pool, pages in self._charges:
+            blocks = pool.free_pages // pages
+            if fit < 0 or blocks < fit:
+                fit = blocks
+        return fit
+
     def allocatable_blocks(self) -> int:
         """Fresh blocks allocatable right now, counting evictable cache.
 
@@ -273,14 +321,7 @@ class SharedBlockStore:
         everything LRU eviction could reclaim.  Routers use this as a KV
         headroom signal, so it runs in O(1).
         """
-        return min(
-            pool.free_pages // pages + self._num_cached
-            for pool, pages in (
-                (self.cpu_pool, self._block_cpu_pages),
-                (self.gpu_pool, self._block_gpu_pages),
-            )
-            if pages
-        )
+        return self._free_fit() + self._num_cached
 
     def can_allocate_blocks(
         self, num_blocks: int, reserved_block_ids: Iterable[int] = ()
@@ -290,16 +331,20 @@ class SharedBlockStore:
         Counts both free pages and the pages eviction could reclaim, minus
         the cached blocks in ``reserved_block_ids`` (a prefix match about to
         be acquired must not be double-counted as reclaimable).  Runs in
-        O(reserved) — this sits on the admission hot path, once per arrival.
+        O(1) when free pages suffice and in O(reserved) otherwise — this
+        sits on the admission hot path, once per arrival.
         """
-        if num_blocks <= 0:
+        fit = self._free_fit()
+        if num_blocks <= fit:
             return True
-        reserved_cached = sum(
-            1
-            for block_id in set(reserved_block_ids)
-            if block_id in self and self._cached[block_id & _SLOT_MASK]
-        )
-        return num_blocks <= self.allocatable_blocks() - reserved_cached
+        ids = self._ids
+        refs = self._refs
+        reserved_cached = 0
+        for block_id in set(reserved_block_ids):
+            slot = block_id & _SLOT_MASK
+            if slot < len(ids) and ids[slot] == block_id and not refs[slot]:
+                reserved_cached += 1
+        return num_blocks <= fit + self._num_cached - reserved_cached
 
     # ------------------------------------------------------------------
     # Prefix matching
@@ -344,17 +389,21 @@ class SharedBlockStore:
         length, not just its hashes.
         """
         matched: list[int] = []
-        for block_hash in block_hashes:
-            if len(matched) * self.block_tokens + self.block_tokens > matchable_tokens:
-                break
-            block_id = self._hash_index.get(block_hash)
+        # Block ``n`` matches only if ``(n + 1) * block_tokens`` tokens fit
+        # under the cap.
+        limit = matchable_tokens // self.block_tokens
+        if limit <= 0:
+            return matched
+        lookup = self._hash_index.get
+        for block_hash in block_hashes[:limit]:
+            block_id = lookup(block_hash)
             if block_id is None:
                 break
             matched.append(block_id)
         return matched
 
     # ------------------------------------------------------------------
-    # Block lifecycle
+    # Table lifecycle
     # ------------------------------------------------------------------
     def acquire(self, block_id: int) -> None:
         """Take a reference on a resident block (a prefix-cache hit)."""
@@ -364,261 +413,167 @@ class SharedBlockStore:
         """:meth:`acquire` a whole prefix match (same order, one loop)."""
         ids = self._ids
         refs = self._refs
-        last_use = self._last_use
-        cached = self._cached
-        clock = self._clock
-        try:
-            for block_id in block_ids:
-                slot = block_id & _SLOT_MASK
-                if slot >= len(ids) or ids[slot] != block_id:
-                    raise MemoryManagerError(f"unknown block {block_id}")
-                refs[slot] += 1
-                if cached[slot]:
-                    cached[slot] = False
-                    self._num_cached -= 1
-                clock += 1
-                last_use[slot] = clock
-        finally:
-            self._clock = clock
-
-    def allocate_block(self, num_tokens: int, block_hash: int | None = None) -> int:
-        """Allocate a fresh block (refcount 1), evicting LRU cache if needed.
-
-        ``block_hash`` registers the block in the content index so later
-        prompts can share it; a hash collision with a resident block keeps
-        the incumbent (the new block stays private).  Returns the block id.
-        """
-        require_positive_int("num_tokens", num_tokens)
-        if num_tokens > self.block_tokens:
-            raise MemoryManagerError(
-                f"block holds at most {self.block_tokens} tokens, got {num_tokens}"
-            )
-        out: list[int] = []
-        self._allocate((num_tokens,), (block_hash,), out)
-        return out[0]
-
-    def allocate_run(
-        self,
-        sizes: Sequence[int],
-        hashes: Sequence[int | None],
-        out_block_ids: list[int],
-    ) -> None:
-        """One prompt's worth of fresh blocks, as sequential allocations.
-
-        Observably identical to calling :meth:`allocate_block` once per
-        ``(size, hash)`` pair — same eviction points, ids, index/clock
-        transitions.  Each committed block id is appended to
-        ``out_block_ids`` immediately, so a mid-run pool failure leaves
-        the committed prefix visible for the caller to release.  Callers
-        guarantee every size lies in ``(0, block_tokens]``.
-        """
-        self._allocate(sizes, hashes, out_block_ids)
+        for block_id in block_ids:
+            slot = block_id & _SLOT_MASK
+            if slot >= len(ids) or ids[slot] != block_id:
+                raise MemoryManagerError(f"unknown block {block_id}")
+            if not refs[slot]:
+                self._num_cached -= 1
+            refs[slot] += 1
 
     def register_chain(
         self,
         matched_ids: Sequence[int],
         num_tokens: int,
-        block_hashes: Sequence[int | None],
-        out_block_ids: list[int],
+        block_hashes: Sequence[int],
+        table: BlockTable,
     ) -> int:
-        """Register one sequence's whole prefix chain in a single call.
+        """Register one sequence's prompt (and reservation) in one call.
 
-        Pins the prefix match (``matched_ids``), then carves the remaining
-        ``num_tokens`` minus cached tokens into fresh blocks; every full
-        block still covered by ``block_hashes`` is tagged with its chained
-        hash.  Observably identical to :meth:`acquire_many` followed by
-        :meth:`allocate_block` per block.  On a mid-run pool failure every
-        block this call pinned or committed is released before re-raising,
-        so no reference leaks.  Returns the cached (matched) token count.
+        Pins the prefix match (``matched_ids``) onto ``table``, then places
+        the remaining ``num_tokens`` minus cached tokens in fresh blocks:
+        every full block still covered by ``block_hashes`` whose hash no
+        resident block owns becomes a hashed block, every other one joins
+        the table's private run.  When the fresh blocks cannot be placed it
+        unpins the match and raises, leaving the fresh part untouched.
+        Returns the cached (matched) token count.
         """
-        start = len(out_block_ids)
         block_tokens = self.block_tokens
-        try:
-            if matched_ids:
-                self.acquire_many(matched_ids)
-                out_block_ids.extend(matched_ids)
-            first = len(matched_ids)
-            cached_tokens = first * block_tokens
-            remaining = num_tokens - cached_tokens
-            if remaining > 0:
-                sizes = self._block_sizes(remaining)
-                # Only full blocks covered by the chain are content-indexed.
-                hashes = list(block_hashes[first : first + remaining // block_tokens])
-                hashes += [None] * (len(sizes) - len(hashes))
-                self._allocate(sizes, hashes, out_block_ids)
-        except MemoryManagerError:
-            self.release_many(out_block_ids[start:])
-            del out_block_ids[start:]
-            raise
-        return cached_tokens
+        block_ids = table.block_ids
+        first = len(matched_ids)
+        if first:
+            self.acquire_many(matched_ids)
+            block_ids.extend(matched_ids)
+        remaining = num_tokens - first * block_tokens
+        if remaining > 0:
+            try:
+                self._grow(
+                    table,
+                    remaining,
+                    block_hashes[first : first + remaining // block_tokens],
+                )
+            except MemoryManagerError:
+                if first:
+                    del block_ids[-first:]
+                    self.release_many(matched_ids)
+                raise
+        return first * block_tokens
 
-    def _allocate(
+    def extend_table(self, table: BlockTable, num_tokens: int) -> None:
+        """Grow one sequence's table by ``num_tokens`` private tokens.
+
+        The private run's tail block fills first; the rest spills into
+        fresh private blocks.  All or nothing: a growth that does not fit
+        raises and leaves the table as it was.
+        """
+        room = self.block_tokens - table.tail_tokens if table.private_blocks else 0
+        if num_tokens > room:
+            self._grow(table, num_tokens - room, ())
+        else:
+            table.tail_tokens += num_tokens
+
+    def _grow(
         self,
-        sizes: Iterable[int],
-        hashes: Iterable[int | None],
-        out_block_ids: list[int],
+        table: BlockTable,
+        num_tokens: int,
+        hashes: Sequence[int],
     ) -> None:
-        """The one allocation body behind every public allocation path.
+        """Place ``num_tokens`` fresh tokens in new blocks behind ``table``.
 
-        Blocks are committed one at a time in order.  Exactly when the next
-        block does not fit, one LRU cached block is evicted first (it frees
-        exactly one block's pages); with nothing evictable the pool's own
-        capacity error propagates.
+        Fresh block ``i`` is hashed with ``hashes[i]`` when that hash is
+        not indexed yet; every other block joins the private run.  Blocks
+        are placed in order: while free pages last a block takes them,
+        after that each block evicts one LRU victim just before it is
+        placed.  Feasibility is checked up front, so a failure changes
+        nothing.
+        """
+        count = -(-num_tokens // self.block_tokens)
+        fresh = self._free_fit()
+        if count > fresh + self._num_cached:
+            raise MemoryManagerError(
+                f"block store: {count} blocks requested but only "
+                f"{fresh} fit in free pages and {self._num_cached} are evictable"
+            )
+        if fresh > count:
+            fresh = count
+        if fresh:
+            for pool, pages in self._charges:
+                pool.reserve(fresh * pages)
+        hashed = len(hashes)
+        private = count - hashed
+        if hashed:
+            private += self._place_hashed(table.block_ids, hashes, fresh)
+        # The private tail sits at positions ``hashed .. count - 1``; every
+        # position past the free pages evicts one victim.
+        for _ in range(count - max(hashed, fresh)):
+            self._free(self._pop_lru())
+            self.evictions += 1
+        if private:
+            table.private_blocks += private
+            self._private_blocks += private
+            table.tail_tokens = (
+                (num_tokens - 1) % self.block_tokens + 1
+                if count > hashed
+                else self.block_tokens
+            )
+
+    def _place_hashed(
+        self, block_ids: list[int], hashes: Sequence[int], fresh: int
+    ) -> int:
+        """Place the hashed positions of :meth:`_grow`; returns collisions.
+
+        A hash another resident block already owns keeps its incumbent, and
+        the colliding block stays private (counted, not placed).
         """
         refs = self._refs
         block_hashes = self._hashes
-        tokens = self._tokens
-        last_use = self._last_use
         ids = self._ids
         free_slots = self._free_slots
         hash_index = self._hash_index
-        cpu_pool = self.cpu_pool
-        gpu_pool = self.gpu_pool
-        cpu_pages = self._block_cpu_pages
-        gpu_pages = self._block_gpu_pages
-        next_generation = _NEXT_GENERATION
-        clock = self._clock
-        try:
-            for num_tokens, block_hash in zip(sizes, hashes):
-                slot = None
-                if cpu_pages > cpu_pool.free_pages or (
-                    gpu_pages and gpu_pages > gpu_pool.free_pages
-                ):
-                    slot = self._pop_lru()
-                if slot is not None:
-                    # The victim's pages and slot pass straight to the new
-                    # block, exactly as freeing it onto the (LIFO) free-slot
-                    # stack and allocating again would leave them.
-                    self._forget(slot)
-                    self.evictions += 1
-                    block_id = ids[slot] + next_generation
-                else:
-                    if cpu_pages:
-                        cpu_pool.reserve(cpu_pages)
-                    if gpu_pages:
-                        try:
-                            gpu_pool.reserve(gpu_pages)
-                        except MemoryManagerError:
-                            # The block never becomes visible, so nothing
-                            # else could return its CPU share.
-                            if cpu_pages:
-                                cpu_pool.unreserve(cpu_pages)
-                            raise
-                    if free_slots:
-                        slot = free_slots.pop()
-                        block_id = ~ids[slot] + next_generation
-                    else:
-                        slot = block_id = len(ids)
-                        ids.append(block_id)
-                        refs.append(0)
-                        tokens.append(0)
-                        last_use.append(0)
-                        block_hashes.append(None)
-                        self._cached.append(False)
-                        self._touch_time.append(0.0)
-                clock += 1
+        collisions = 0
+        for position, block_hash in enumerate(hashes):
+            if position >= fresh:
+                # The victim's pages pass to this block.
+                self._free(self._pop_lru())
+                self.evictions += 1
+            if block_hash in hash_index:
+                collisions += 1
+                continue
+            if free_slots:
+                slot = free_slots.pop()
+                block_id = ~ids[slot] + _NEXT_GENERATION
                 ids[slot] = block_id
                 refs[slot] = 1
-                tokens[slot] = num_tokens
-                last_use[slot] = clock
-                if block_hash is not None and block_hash not in hash_index:
-                    block_hashes[slot] = block_hash
-                    hash_index[block_hash] = block_id
-                    self.version += 1
-                out_block_ids.append(block_id)
-        finally:
-            self._clock = clock
-
-    def append_to_block(self, block_id: int, num_tokens: int) -> None:
-        """Grow a *private* partial block in place (decode-token append).
-
-        Shared or content-indexed blocks are immutable; callers must
-        copy-on-write first (:meth:`copy_on_write`).
-        """
-        require_positive_int("num_tokens", num_tokens)
-        slot = self._slot(block_id)
-        if self._refs[slot] != 1 or self._hashes[slot] is not None:
-            raise MemoryManagerError(
-                f"block {block_id} is shared or content-indexed; "
-                "copy-on-write before appending"
-            )
-        used = self._tokens[slot]
-        if used + num_tokens > self.block_tokens:
-            raise MemoryManagerError(
-                f"append of {num_tokens} tokens overflows block {block_id} "
-                f"({used}/{self.block_tokens} used)"
-            )
-        self._tokens[slot] = used + num_tokens
-        self._clock += 1
-        self._last_use[slot] = self._clock
-
-    def extend_table(self, block_ids: list[int], num_tokens: int) -> None:
-        """Grow one sequence's block table by ``num_tokens`` tokens.
-
-        The tail block is filled first: in place when it is private, after
-        :meth:`copy_on_write` when it is shared or content-indexed.  The
-        rest goes into fresh private blocks appended to ``block_ids``.
-        """
-        if block_ids:
-            slot = self._slot(block_ids[-1])
-            room = self.block_tokens - self._tokens[slot]
-            if room and num_tokens > 0:
-                if self._refs[slot] > 1 or self._hashes[slot] is not None:
-                    # Divergence below a shared block.  Registration only
-                    # ever shares *full* blocks, so today this is
-                    # defensive; it becomes load-bearing once partial or
-                    # decode blocks enter the content index.
-                    block_ids[-1] = self.copy_on_write(block_ids[-1])
-                take = min(room, num_tokens)
-                self.append_to_block(block_ids[-1], take)
-                num_tokens -= take
-        if num_tokens > 0:
-            sizes = self._block_sizes(num_tokens)
-            self._allocate(sizes, [None] * len(sizes), block_ids)
-
-    def copy_on_write(self, block_id: int) -> int:
-        """Diverge from a shared block: private copy, drop the shared ref.
-
-        The copy charges its own pages (the defining cost of divergence);
-        the original keeps its other sharers and its place in the content
-        index.  Returns the copy's id.
-        """
-        slot = self._slot(block_id)
-        if self._refs[slot] <= 0:
-            raise MemoryManagerError(
-                f"copy-on-write of unreferenced block {block_id}"
-            )
-        copy = self.allocate_block(self._tokens[slot])
-        self.release(block_id)
-        self.cow_copies += 1
-        return copy
+                block_hashes[slot] = block_hash
+            else:
+                block_id = len(ids)
+                ids.append(block_id)
+                refs.append(1)
+                block_hashes.append(block_hash)
+                self._touch_time.append(0.0)
+                self._stamps.append(0)
+            hash_index[block_hash] = block_id
+            block_ids.append(block_id)
+        self.version += len(hashes) - collisions
+        return collisions
 
     def release(self, block_id: int) -> None:
-        """Drop one reference; free or retain the block at refcount zero.
-
-        Hashed blocks are *retained* as prefix cache (freed only by LRU
-        eviction under allocation pressure); private blocks can never be
-        re-matched, so they are freed immediately.
-        """
+        """Drop one reference; at refcount zero the block joins the cache."""
         self.release_many((block_id,))
 
     def release_many(self, block_ids: Iterable[int]) -> None:
-        """Release a sequence's whole block table (same order, one loop)."""
+        """Drop one reference on each hashed block, in order.
+
+        A block whose refcount reaches zero is retained as prefix cache,
+        most recently used, until eviction or a sweep frees it.
+        """
         ids = self._ids
         refs = self._refs
-        block_hashes = self._hashes
-        last_use = self._last_use
-        cached = self._cached
+        stamps = self._stamps
         touch_time = self._touch_time
-        free_slots = self._free_slots
-        heap = self._lru_heap
-        heappush = heapq.heappush
+        push = self._lru.append
         now = self.clock_time
-        cpu_pool = self.cpu_pool
-        gpu_pool = self.gpu_pool
-        cpu_pages = self._block_cpu_pages
-        gpu_pages = self._block_gpu_pages
-        clock = self._clock
+        stamp = self._stamp
         newly_cached = 0
         try:
             for block_id in block_ids:
@@ -632,39 +587,41 @@ class SharedBlockStore:
                         f"refcount {count}"
                     )
                 refs[slot] = count - 1
-                if count > 1:
-                    continue
-                if block_hashes[slot] is not None:
-                    # Retained as prefix cache, most recently used.
-                    clock += 1
-                    last_use[slot] = clock
-                    cached[slot] = True
+                if count == 1:
+                    stamp += 1
+                    stamps[slot] = stamp
                     touch_time[slot] = now
                     newly_cached += 1
-                    heappush(heap, (clock, slot))
-                else:
-                    # Private and unindexed: only pages and the slot return.
-                    if cpu_pages:
-                        cpu_pool.unreserve(cpu_pages)
-                    if gpu_pages:
-                        gpu_pool.unreserve(gpu_pages)
-                    ids[slot] = ~block_id
-                    free_slots.append(slot)
+                    push((stamp, slot))
         finally:
-            self._clock = clock
+            self._stamp = stamp
             self._num_cached += newly_cached
+
+    def release_table(self, table: BlockTable) -> None:
+        """Release a sequence's whole table: its hashed blocks through
+        :meth:`release_many`, then its private run back to the pools."""
+        if table.block_ids:
+            self.release_many(table.block_ids)
+        private = table.private_blocks
+        if private > self._private_blocks:
+            raise MemoryManagerError(
+                f"releasing {private} private blocks but only "
+                f"{self._private_blocks} are held"
+            )
+        self._private_blocks -= private
+        self._return_pages(private)
 
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
     def _pop_lru(self) -> int | None:
-        """The least-recently-used cached slot, skipping stale heap entries."""
-        heap = self._lru_heap
-        cached = self._cached
-        last_use = self._last_use
-        while heap:
-            stamp, slot = heapq.heappop(heap)
-            if cached[slot] and last_use[slot] == stamp:
+        """The least-recently-used cached slot, skipping stale entries."""
+        lru = self._lru
+        refs = self._refs
+        stamps = self._stamps
+        while lru:
+            stamp, slot = lru.popleft()
+            if stamps[slot] == stamp and not refs[slot]:
                 return slot
         return None
 
@@ -673,27 +630,27 @@ class SharedBlockStore:
 
         A chat session that went quiet leaves its whole prefix chain parked
         in the cache; TTL eviction reclaims those pages ahead of allocation
-        pressure.  Blocks are freed in LRU order off the existing lazy
-        heap: the integer use clock is monotone in simulated time, so the
-        heap head is also the oldest block by cache-entry time and the
-        scan stops at the first survivor — O(evicted), not O(cached).
-        Returns the number of blocks expired (also accumulated on
-        ``ttl_evictions``).
+        pressure.  Blocks are freed in LRU order off the queue: release
+        stamps are monotone in simulated time, so the queue head is also
+        the oldest block by cache-entry time and the scan stops at the
+        first survivor — O(evicted), not O(cached).  Returns the number of
+        blocks expired (also accumulated on ``ttl_evictions``).
         """
         expired = 0
-        heap = self._lru_heap
-        cached = self._cached
-        last_use = self._last_use
-        while heap:
-            stamp, slot = heap[0]
-            if not cached[slot] or last_use[slot] != stamp:
-                heapq.heappop(heap)  # stale entry (re-acquired or freed)
+        lru = self._lru
+        refs = self._refs
+        stamps = self._stamps
+        while lru:
+            stamp, slot = lru[0]
+            if stamps[slot] != stamp or refs[slot]:
+                lru.popleft()  # stale entry (re-acquired or freed)
                 continue
             if self._touch_time[slot] > cutoff:
                 break
-            heapq.heappop(heap)
+            lru.popleft()
             self._free(slot)
             expired += 1
+        self._return_pages(expired)
         self.ttl_evictions += expired
         return expired
 
@@ -711,50 +668,24 @@ class SharedBlockStore:
         while (slot := self._pop_lru()) is not None:
             self._free(slot)
             dropped += 1
+        self._return_pages(dropped)
         self.crash_drops += dropped
         return dropped
 
-    def _forget(self, slot: int) -> None:
-        """Take a cached slot out of the cache and the content index."""
-        self._cached[slot] = False
+    def _free(self, slot: int) -> None:
+        """Take a cached slot out of the cache and the index, and free it.
+
+        Its pages stay charged: eviction hands them to the block being
+        placed, and the sweeps return them with :meth:`_return_pages`.
+        """
         self._num_cached -= 1
         del self._hash_index[self._hashes[slot]]
         self._hashes[slot] = None
         self.version += 1
-
-    def _free(self, slot: int) -> None:
-        """Free a cached slot: its pages, index entry and id."""
-        self._forget(slot)
-        if self._block_cpu_pages:
-            self.cpu_pool.unreserve(self._block_cpu_pages)
-        if self._block_gpu_pages:
-            assert self.gpu_pool is not None  # guaranteed by the constructor
-            self.gpu_pool.unreserve(self._block_gpu_pages)
         self._ids[slot] = ~self._ids[slot]
         self._free_slots.append(slot)
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _slot(self, block_id: int) -> int:
-        if block_id not in self:
-            raise MemoryManagerError(f"unknown block {block_id}")
-        return block_id & _SLOT_MASK
-
-    def _block_sizes(self, num_tokens: int) -> list[int]:
-        """Token counts of the blocks ``num_tokens`` fresh tokens fill."""
-        full, partial = divmod(num_tokens, self.block_tokens)
-        return [self.block_tokens] * full + ([partial] if partial else [])
-
-
-@dataclass
-class BlockTable:
-    """One sequence's ordered view into the shared store."""
-
-    block_ids: list[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.block_ids)
-
-    def __iter__(self):
-        return iter(self.block_ids)
+    def _return_pages(self, num_blocks: int) -> None:
+        if num_blocks:
+            for pool, pages in self._charges:
+                pool.unreserve(num_blocks * pages)

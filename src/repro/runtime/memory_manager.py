@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.utils.errors import MemoryManagerError
-from repro.utils.validation import require_positive, require_positive_int
+from repro.utils.validation import require_positive
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,11 +123,6 @@ class MemoryPool:
         del free[start:]
         self._allocated.update(pages)
         return PagedAllocation(pool_name=self.name, pages=pages, page_bytes=self.page_bytes)
-
-    def allocate_pages(self, num_pages: int) -> PagedAllocation:
-        """Allocate an exact number of pages."""
-        require_positive_int("num_pages", num_pages)
-        return self.allocate(num_pages * self.page_bytes)
 
     def reserve(self, num_pages: int) -> None:
         """Charge ``num_pages`` pages by count, without handing out indices.

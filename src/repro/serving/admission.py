@@ -112,15 +112,15 @@ class AdmissionController:
                 f"cache ({cpu_kv_budget_bytes / 1e9:.2f} GB budget)"
             )
         ratio = policy.kv_cache_gpu_ratio
-        # In the shared-block regime each pool's page holds exactly its share
-        # of one block, so a split block costs one page per pool rather than
-        # rounding both shares up to a whole full-size page.  The shares use
-        # the same expressions as the SharedBlockStore constructor (gpu = b*r,
-        # cpu = b - gpu): a different float grouping could land one ulp
-        # above the page size and silently double the per-block charge.
+        # Each pool's page holds exactly its share of one block, so a split
+        # block costs one page per pool rather than rounding both shares up
+        # to a whole full-size page.  The shares use the same expressions as
+        # the SharedBlockStore constructor (gpu = b*r, cpu = b - gpu): a
+        # different float grouping could land one ulp above the page size
+        # and silently double the per-block charge.
         cpu_page_bytes = page_bytes
         gpu_page_bytes = page_bytes
-        if prefix_cache and 0 < ratio < 1:
+        if 0 < ratio < 1:
             gpu_page_bytes = page_bytes * ratio
             cpu_page_bytes = page_bytes - gpu_page_bytes
         cpu_pool = MemoryPool("serving-kv-cpu", cpu_kv_budget_bytes, cpu_page_bytes)

@@ -483,9 +483,8 @@ class FaultInjector:
         # Account the KV the device is about to lose (shared blocks once).
         kv = core.admission.kv_cache
         self.kv_bytes_lost += kv.cpu_bytes + kv.gpu_bytes
-        store = kv.block_store
-        if store is not None:
-            self.blocks_lost += store.num_blocks
+        if kv.prefix_cache_enabled:
+            self.blocks_lost += kv.block_store.num_blocks
         dropped = core.crash(event.time)
         if self.telemetry is not None:
             self.telemetry.record_fault(

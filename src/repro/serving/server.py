@@ -353,11 +353,11 @@ class EngineCore:
         self.migrated_in = 0
         self.migrated_out = 0
         self.migration_rejected = 0
-        #: TTL eviction: the store only exists in the prefix-cache regime;
-        #: without one (or without a TTL) the hook below is never entered.
+        #: TTL eviction: only the prefix cache retains idle blocks; without
+        #: it (or without a TTL) the hook below is never entered.
         self._ttl_store = (
             self.admission.kv_cache.block_store
-            if session_ttl is not None
+            if session_ttl is not None and prefix_cache
             else None
         )
         # O(1) counters mirroring what a scan over records/steps would
@@ -814,10 +814,10 @@ class EngineCore:
                 )
             if self.on_reject is not None:
                 self.on_reject(serving_request)
-        self.admission.kv_cache.release_all()
-        store = self.admission.kv_cache.block_store
-        if store is not None:
-            store.drop_all_cached()
+        kv_cache = self.admission.kv_cache
+        kv_cache.release_all()
+        if kv_cache.prefix_cache_enabled:
+            kv_cache.block_store.drop_all_cached()
         self._finish_buckets.clear()
         self._running_version += 1
         self._bump_load(-self._load)

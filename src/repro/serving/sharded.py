@@ -532,10 +532,7 @@ class ShardedServingSystem:
 
             return route
 
-        stores = [core.admission.kv_cache.block_store for core in cores]
-        indexes = [
-            store.prefix_index if store is not None else {} for store in stores
-        ]
+        indexes = [core.admission.kv_cache.block_store.prefix_index for core in cores]
         block_tokens = self.block_tokens
 
         def route(serving_request: ServingRequest, cores) -> int:

@@ -106,20 +106,27 @@ class Request:
         Returns the stored ``prefix_hashes`` when they were computed at the
         same block size (no token materialisation), falls back to hashing
         ``token_ids``, and returns ``None`` when the request carries no
-        content identity at all.
+        content identity at all.  A chain hashed from ``token_ids`` is
+        memoised on the request per block size, so every call returns the
+        same tuple: admission's match memo keys on chain identity.
         """
         if (
             self.prefix_hashes is not None
             and self.prefix_block_tokens == block_tokens
         ):
             return self.prefix_hashes
+        chains = self.__dict__.get("_hashed_chains")
+        if chains is not None and block_tokens in chains:
+            return chains[block_tokens]
         token_ids = self.token_ids
         if token_ids is None:
             return None
         # Local import: workloads must stay importable without runtime/.
         from repro.runtime.block_store import chain_block_hashes
 
-        return tuple(chain_block_hashes(token_ids, block_tokens))
+        chain = tuple(chain_block_hashes(token_ids, block_tokens))
+        self.__dict__.setdefault("_hashed_chains", {})[block_tokens] = chain
+        return chain
 
     def padded_to(self, length: int) -> "Request":
         """Return a copy of this request padded to ``length`` tokens."""

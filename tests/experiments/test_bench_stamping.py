@@ -89,3 +89,21 @@ class TestServingRowsCarryP99:
         assert serving_summary(rows)["moe-lightning"]["e2e_p99"] == pytest.approx(
             row["e2e_p99"]
         )
+
+
+class TestBenchmarkLabel:
+    def test_writer_defaults_to_serving(self, tmp_path):
+        document = write_bench_serving_json(tmp_path / "b.json", ROWS)
+        assert document["benchmark"] == "serving"
+
+    def test_disagg_cli_labels_its_artifact_disagg(self, tmp_path, capsys):
+        from repro.experiments.disagg_sweep import main
+
+        path = tmp_path / "BENCH_disagg.json"
+        argv = [
+            "--shards", "2", "--chat-requests", "4", "--long-requests", "1",
+            "--chat-generation-len", "4", "--long-generation-len", "4",
+            "--no-heterogeneous", "--json", str(path),
+        ]
+        assert main(argv) == 0
+        assert json.loads(path.read_text())["benchmark"] == "disagg"

@@ -73,10 +73,15 @@ def check_invariants(manager: KVCacheManager) -> None:
         for cache in manager.sequences.values()
         for block_id in cache.block_table.block_ids
     }
+    # Private runs are never shared: each live one adds its own blocks.
+    private_blocks = sum(
+        cache.block_table.private_blocks for cache in manager.sequences.values()
+    )
+    assert store.num_private_blocks == private_blocks
     live_cpu, _ = store.bytes_in_use(live_only=True)
     assert live_cpu == sum(
         store.block(block_id).cpu_bytes for block_id in unique_blocks
-    )
+    ) + private_blocks * BLOCK_BYTES
 
 
 @given(ops=OPS, data=st.data())

@@ -1,10 +1,11 @@
-"""Stateful test: the shared block store against a compact reference model.
+"""Stateful test: the block store against a compact reference model.
 
 A hypothesis ``RuleBasedStateMachine`` drives one :class:`SharedBlockStore`
 (split across a CPU and a GPU pool) and a dict-and-list model of the same
-semantics through random interleavings of chain registration, release,
-TTL expiry, crash teardown and the allocate -> copy-on-write -> append path.
-After every rule the two must agree on refcounts, cached and resident
+semantics through random interleavings of chain registration (with and
+without a private tail), purely private registration, tail growth across
+block boundaries, release, TTL expiry and crash teardown.  After every
+rule the two must agree on refcounts, private runs, cached and resident
 counts, pool pages, the content-index key set, the eviction counters and
 prefix-match depths.  Block ids are the store's business, so the model
 matches by hash and tracks its own ids.
@@ -23,7 +24,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.runtime.block_store import SharedBlockStore
+from repro.runtime.block_store import BlockTable, SharedBlockStore
 from repro.runtime.memory_manager import MemoryPool
 from repro.utils.errors import MemoryManagerError
 
@@ -47,13 +48,28 @@ def family_chain(family: int) -> list[int]:
     ]
 
 
+class ModelSequence:
+    """One live sequence in the model: hashed block ids and a private run."""
+
+    def __init__(self) -> None:
+        self.mids: list[int] = []
+        self.private = 0
+        self.tail = 0
+
+
 class ReferenceStore:
-    """The store's semantics in plain dicts plus an explicit LRU order."""
+    """The store's semantics in plain dicts plus an explicit LRU order.
+
+    Blocks are placed one at a time: a block takes a free page while any
+    is left, otherwise it first evicts the least recently cached block.
+    """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        #: model id -> [refs, hash, tokens]
+        #: model id -> [refs, hash] for hashed blocks.
         self.blocks: dict[int, list] = {}
+        #: Live private blocks, over all sequences.
+        self.private = 0
         self.index: dict[int, int] = {}
         #: Cached model ids, least recently used first, with cache times.
         self.lru: dict[int, float] = {}
@@ -63,11 +79,14 @@ class ReferenceStore:
         self.ttl_evictions = 0
         self.crash_drops = 0
 
+    @property
+    def used(self) -> int:
+        return len(self.blocks) + self.private
+
     def _free(self, mid: int) -> None:
-        _, block_hash, _ = self.blocks.pop(mid)
-        self.lru.pop(mid, None)
-        if block_hash is not None:
-            del self.index[block_hash]
+        _, block_hash = self.blocks.pop(mid)
+        del self.lru[mid]
+        del self.index[block_hash]
 
     def match(self, hashes: list[int], matchable_tokens: int) -> list[int]:
         matched = []
@@ -79,56 +98,75 @@ class ReferenceStore:
             matched.append(self.index[block_hash])
         return matched
 
-    def acquire(self, mid: int) -> None:
-        block = self.blocks[mid]
-        block[0] += 1
-        self.lru.pop(mid, None)
-
-    def allocate(self, tokens: int, block_hash: int | None) -> int:
-        if len(self.blocks) >= self.capacity:
-            if not self.lru:
-                raise MemoryManagerError("model pool full")
-            self._free(next(iter(self.lru)))
-            self.evictions += 1
-        mid = self.next_id
-        self.next_id += 1
-        owned = block_hash is not None and block_hash not in self.index
-        self.blocks[mid] = [1, block_hash if owned else None, tokens]
-        if owned:
-            self.index[block_hash] = mid
-        return mid
-
-    def release(self, mid: int) -> None:
+    def release_mid(self, mid: int) -> None:
         block = self.blocks[mid]
         assert block[0] > 0
         block[0] -= 1
         if block[0] == 0:
-            if block[1] is not None:
-                self.lru[mid] = self.now
-            else:
-                self._free(mid)
+            self.lru[mid] = self.now
+
+    def _place(self, sequence: ModelSequence, block_hash: int | None) -> None:
+        if self.used >= self.capacity:
+            self._free(next(iter(self.lru)))
+            self.evictions += 1
+        if block_hash is None or block_hash in self.index:
+            self.private += 1
+            sequence.private += 1
+            return
+        mid = self.next_id
+        self.next_id += 1
+        self.blocks[mid] = [1, block_hash]
+        self.index[block_hash] = mid
+        sequence.mids.append(mid)
+
+    def _grow(
+        self, sequence: ModelSequence, num_tokens: int, hashes: list[int]
+    ) -> None:
+        """Place fresh blocks for ``num_tokens``; all or nothing."""
+        count = -(-num_tokens // BLOCK_TOKENS)
+        if count > self.capacity - self.used + len(self.lru):
+            raise MemoryManagerError("model pool full")
+        for position in range(count):
+            self._place(sequence, hashes[position] if position < len(hashes) else None)
+        if count > len(hashes):
+            sequence.tail = (num_tokens - 1) % BLOCK_TOKENS + 1
+        elif sequence.private:
+            sequence.tail = BLOCK_TOKENS
 
     def register_chain(
         self, matched: list[int], num_tokens: int, hashes: list[int]
-    ) -> list[int]:
-        taken: list[int] = []
-        try:
-            for mid in matched:
-                self.acquire(mid)
-                taken.append(mid)
-            remaining = num_tokens - len(matched) * BLOCK_TOKENS
-            depth = len(matched)
-            while remaining > 0:
-                take = min(BLOCK_TOKENS, remaining)
-                full = take == BLOCK_TOKENS and depth < len(hashes)
-                taken.append(self.allocate(take, hashes[depth] if full else None))
-                remaining -= take
-                depth += 1
-        except MemoryManagerError:
-            for mid in taken:
-                self.release(mid)
-            raise
-        return taken
+    ) -> ModelSequence:
+        sequence = ModelSequence()
+        for mid in matched:
+            self.blocks[mid][0] += 1
+            self.lru.pop(mid, None)
+        remaining = num_tokens - len(matched) * BLOCK_TOKENS
+        if remaining > 0:
+            first = len(matched)
+            try:
+                self._grow(
+                    sequence,
+                    remaining,
+                    hashes[first : first + remaining // BLOCK_TOKENS],
+                )
+            except MemoryManagerError:
+                for mid in matched:
+                    self.release_mid(mid)
+                raise
+        sequence.mids[:0] = matched
+        return sequence
+
+    def extend(self, sequence: ModelSequence, num_tokens: int) -> None:
+        room = BLOCK_TOKENS - sequence.tail if sequence.private else 0
+        if num_tokens > room:
+            self._grow(sequence, num_tokens - room, [])
+        else:
+            sequence.tail += num_tokens
+
+    def release(self, sequence: ModelSequence) -> None:
+        for mid in sequence.mids:
+            self.release_mid(mid)
+        self.private -= sequence.private
 
     def expire_idle(self, cutoff: float) -> int:
         expired = [mid for mid, since in self.lru.items() if since <= cutoff]
@@ -164,8 +202,8 @@ class BlockStoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.store = make_store()
         self.model = ReferenceStore(capacity=min(CPU_BLOCKS, GPU_BLOCKS))
-        #: Live sequences: (store block ids, model block ids), aligned.
-        self.sequences: list[tuple[list[int], list[int]]] = []
+        #: Live sequences: (store table, model sequence), aligned.
+        self.sequences: list[tuple[BlockTable, ModelSequence]] = []
 
     # ------------------------------------------------------------------
     # Rules
@@ -173,9 +211,10 @@ class BlockStoreMachine(RuleBasedStateMachine):
     @rule(
         family=st.integers(0, FAMILIES - 1),
         depth=st.integers(0, CHAIN_DEPTH),
-        tail=st.integers(0, BLOCK_TOKENS + 2),
+        tail=st.integers(0, 2 * BLOCK_TOKENS + 2),
     )
     def register_chain(self, family, depth, tail):
+        """A prompt chain, with a private tail past its hashed blocks."""
         hashes = family_chain(family)[:depth]
         num_tokens = depth * BLOCK_TOKENS + tail
         if num_tokens == 0:
@@ -185,24 +224,56 @@ class BlockStoreMachine(RuleBasedStateMachine):
         matched = self.store.match_prefix_hashes(hashes, matchable)[:cap]
         model_matched = self.model.match(hashes, matchable)[:cap]
         assert len(matched) == len(model_matched)
-        ids: list[int] = []
+        self._register(
+            lambda table: self.store.register_chain(matched, num_tokens, hashes, table),
+            lambda: self.model.register_chain(model_matched, num_tokens, hashes),
+            cached_tokens=len(matched) * BLOCK_TOKENS,
+        )
+
+    @rule(num_tokens=st.integers(1, 3 * BLOCK_TOKENS + 1))
+    def register_private(self, num_tokens):
+        """A cache-off registration: one private run, nothing hashed."""
+        self._register(
+            lambda table: self.store.extend_table(table, num_tokens),
+            lambda: self.model.register_chain([], num_tokens, []),
+        )
+
+    def _register(self, store_register, model_register, cached_tokens=None):
+        table = BlockTable()
         try:
-            cached = self.store.register_chain(matched, num_tokens, hashes, ids)
+            cached = store_register(table)
         except MemoryManagerError:
-            assert ids == []
+            assert table == BlockTable()
             try:
-                self.model.register_chain(model_matched, num_tokens, hashes)
+                model_register()
             except MemoryManagerError:
                 return
-            raise AssertionError("store refused a chain the model accepts")
-        assert cached == len(matched) * BLOCK_TOKENS
-        model_ids = self.model.register_chain(model_matched, num_tokens, hashes)
-        assert len(ids) == len(model_ids)
-        self.sequences.append((ids, model_ids))
+            raise AssertionError("store refused a sequence the model accepts")
+        if cached_tokens is not None:
+            assert cached == cached_tokens
+        self.sequences.append((table, model_register()))
+
+    @precondition(lambda self: self.sequences)
+    @rule(data=st.data(), num_tokens=st.integers(1, 2 * BLOCK_TOKENS + 1))
+    def extend_tail(self, data, num_tokens):
+        """Tail growth, crossing block boundaries (evicting when full)."""
+        index = data.draw(st.integers(0, len(self.sequences) - 1))
+        table, sequence = self.sequences[index]
+        before = (list(table.block_ids), table.private_blocks, table.tail_tokens)
+        try:
+            self.store.extend_table(table, num_tokens)
+        except MemoryManagerError:
+            assert (table.block_ids, table.private_blocks, table.tail_tokens) == before
+            try:
+                self.model.extend(sequence, num_tokens)
+            except MemoryManagerError:
+                return
+            raise AssertionError("store refused a growth the model accepts")
+        self.model.extend(sequence, num_tokens)
 
     @precondition(lambda self: self.sequences)
     @rule(data=st.data())
-    def release_many(self, data):
+    def release_table(self, data):
         self._release(data.draw(st.integers(0, len(self.sequences) - 1)))
 
     @precondition(lambda self: self.sequences)
@@ -212,10 +283,9 @@ class BlockStoreMachine(RuleBasedStateMachine):
         self._release(0)
 
     def _release(self, index: int) -> None:
-        ids, model_ids = self.sequences.pop(index)
-        self.store.release_many(ids)
-        for mid in model_ids:
-            self.model.release(mid)
+        table, sequence = self.sequences.pop(index)
+        self.store.release_table(table)
+        self.model.release(sequence)
 
     @rule(elapsed=st.sampled_from([0.0, 1.0, 4.0]), ttl=st.sampled_from([2.0, 6.0]))
     def expire_idle(self, elapsed, ttl):
@@ -228,57 +298,33 @@ class BlockStoreMachine(RuleBasedStateMachine):
     def drop_all_cached(self):
         assert self.store.drop_all_cached() == self.model.drop_all_cached()
 
-    @rule(tokens=st.integers(1, BLOCK_TOKENS - 1), data=st.data())
-    def allocate_cow_append(self, tokens, data):
-        try:
-            block_id = self.store.allocate_block(tokens)
-        except MemoryManagerError:
-            self._expect_model_full(lambda: self.model.allocate(tokens, None))
-            return
-        mid = self.model.allocate(tokens, None)
-        try:
-            copy = self.store.copy_on_write(block_id)
-        except MemoryManagerError:
-            self._expect_model_full(lambda: self.model.allocate(tokens, None))
-            self.sequences.append(([block_id], [mid]))
-            return
-        model_copy = self.model.allocate(tokens, None)
-        self.model.release(mid)
-        assert block_id not in self.store  # a private original is freed
-        assert self.store.block(copy).num_tokens == tokens
-        extra = data.draw(st.integers(1, BLOCK_TOKENS - tokens))
-        self.store.append_to_block(copy, extra)
-        self.model.blocks[model_copy][2] += extra
-        self.sequences.append(([copy], [model_copy]))
-
-    def _expect_model_full(self, allocate) -> None:
-        try:
-            allocate()
-        except MemoryManagerError:
-            return
-        raise AssertionError("store refused a block the model accepts")
-
     # ------------------------------------------------------------------
     # Agreement after every rule
     # ------------------------------------------------------------------
     @invariant()
-    def refcounts_agree(self):
+    def tables_agree(self):
         assert all(block.ref_count >= 0 for block in self.store.resident_blocks())
-        for ids, model_ids in self.sequences:
-            for block_id, mid in zip(ids, model_ids):
+        for table, sequence in self.sequences:
+            assert len(table.block_ids) == len(sequence.mids)
+            for block_id, mid in zip(table.block_ids, sequence.mids):
                 block = self.store.block(block_id)
-                refs, block_hash, tokens = self.model.blocks[mid]
+                refs, block_hash = self.model.blocks[mid]
                 assert block.ref_count == refs >= 1
                 assert block.block_hash == block_hash
-                assert block.num_tokens == tokens
+            assert table.private_blocks == sequence.private
+            assert table.tail_tokens == sequence.tail
 
     @invariant()
     def counts_and_pages_agree(self):
         store = self.store
-        assert store.num_blocks == len(self.model.blocks)
+        slotted = len(store.resident_blocks())
+        private = sum(table.private_blocks for table, _ in self.sequences)
+        assert store.num_private_blocks == private == self.model.private
+        # ``num_blocks`` counts both kinds, and every block holds its pages.
+        assert store.num_blocks == slotted + private == self.model.used
         assert store.num_cached_blocks == len(self.model.lru)
-        assert store.cpu_pool.used_pages == store.num_blocks
-        assert store.gpu_pool.used_pages == store.num_blocks
+        assert store.cpu_pool.used_pages == slotted + private
+        assert store.gpu_pool.used_pages == slotted + private
         assert store.bytes_in_use() == (
             store.cpu_pool.used_bytes,
             store.gpu_pool.used_bytes,

@@ -1,8 +1,8 @@
-"""Shared block store: hashing, sharing, refcounts, COW, LRU eviction."""
+"""Block store: hashing, sharing, refcounts, private runs, LRU eviction."""
 
 import pytest
 
-from repro.runtime.block_store import SharedBlockStore, chain_block_hashes
+from repro.runtime.block_store import BlockTable, SharedBlockStore, chain_block_hashes
 from repro.runtime.memory_manager import MemoryPool
 from repro.utils.errors import MemoryManagerError
 
@@ -27,6 +27,21 @@ def make_store(num_blocks=8, gpu_ratio=0.0, gpu_blocks=8):
         gpu_pool=gpu_pool,
         gpu_ratio=gpu_ratio,
     )
+
+
+def hashed_block(store, block_hash):
+    """One full block registered under ``block_hash``; returns its id."""
+    table = BlockTable()
+    store.register_chain([], BLOCK_TOKENS, [block_hash], table)
+    (block_id,) = table.block_ids
+    return block_id
+
+
+def private_run(store, num_tokens):
+    """A table holding ``num_tokens`` private tokens (no hashes)."""
+    table = BlockTable()
+    store.register_chain([], num_tokens, [], table)
+    return table
 
 
 class TestHashing:
@@ -55,7 +70,7 @@ class TestSharing:
         tokens = (1, 2, 3, 4, 5)
         assert store.match_prefix(tokens) == []
         hashes = chain_block_hashes(tokens, BLOCK_TOKENS)
-        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=hashes[0])
+        block_id = hashed_block(store, hashes[0])
         assert store.match_prefix(tokens) == [block_id]
 
     def test_match_never_covers_whole_prompt(self):
@@ -63,14 +78,14 @@ class TestSharing:
         store = make_store()
         tokens = (1, 2, 3, 4, 5, 6, 7, 8)
         for h in chain_block_hashes(tokens, BLOCK_TOKENS):
-            store.allocate_block(BLOCK_TOKENS, block_hash=h)
+            hashed_block(store, h)
         # Both blocks resident, but an 8-token prompt may match only one.
         assert len(store.match_prefix(tokens)) == 1
         assert len(store.match_prefix(tokens + (9,))) == 2
 
     def test_acquire_shares_without_double_charge(self):
         store = make_store()
-        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=123)
+        block_id = hashed_block(store, 123)
         used_before = store.cpu_pool.used_pages
         store.acquire(block_id)
         assert store.block(block_id).ref_count == 2
@@ -78,7 +93,7 @@ class TestSharing:
 
     def test_release_retains_hashed_blocks_as_cache(self):
         store = make_store()
-        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=7)
+        block_id = hashed_block(store, 7)
         store.release(block_id)
         assert block_id in store  # resident, evictable
         assert store.num_cached_blocks == 1
@@ -86,62 +101,79 @@ class TestSharing:
 
     def test_release_frees_private_blocks_immediately(self):
         store = make_store()
-        block_id = store.allocate_block(BLOCK_TOKENS)
-        store.release(block_id)
-        assert block_id not in store
+        table = private_run(store, BLOCK_TOKENS)
+        store.release_table(table)
+        assert store.num_blocks == 0
         assert store.cpu_pool.used_pages == 0
 
     def test_refcount_underflow_raises(self):
         store = make_store()
-        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=7)
+        block_id = hashed_block(store, 7)
         store.release(block_id)
         with pytest.raises(MemoryManagerError):
             store.release(block_id)
 
 
-class TestCopyOnWrite:
-    def test_cow_gives_private_copy(self):
+class TestPrivateRuns:
+    def test_run_is_counted_not_slotted(self):
         store = make_store()
-        shared = store.allocate_block(BLOCK_TOKENS, block_hash=11)
-        store.acquire(shared)  # two sharers
-        copy = store.copy_on_write(shared)
-        assert copy != shared
-        assert store.block(copy).ref_count == 1
-        assert not store.block(copy).is_shareable
-        assert store.block(shared).ref_count == 1
-        assert store.cow_copies == 1
+        table = private_run(store, 2 * BLOCK_TOKENS + 1)
+        assert table.block_ids == []
+        assert (table.private_blocks, table.tail_tokens) == (3, 1)
+        assert store.num_blocks == store.num_private_blocks == 3
+        assert store.cpu_pool.used_pages == 3
+        assert store.resident_blocks() == []
 
-    def test_append_to_shared_block_rejected(self):
+    def test_extend_fills_the_tail_then_spills(self):
         store = make_store()
-        shared = store.allocate_block(BLOCK_TOKENS - 1)
-        store.acquire(shared)  # a second sharer
-        with pytest.raises(MemoryManagerError):
-            store.append_to_block(shared, 1)
+        table = private_run(store, BLOCK_TOKENS - 1)
+        store.extend_table(table, 1)  # fills the tail block in place
+        assert (table.private_blocks, table.tail_tokens) == (1, BLOCK_TOKENS)
+        assert store.cpu_pool.used_pages == 1
+        store.extend_table(table, BLOCK_TOKENS + 2)  # one full, one partial
+        assert (table.private_blocks, table.tail_tokens) == (3, 2)
+        assert store.cpu_pool.used_pages == 3
 
-    def test_extend_table_copies_a_shared_tail_before_writing(self):
+    def test_extend_never_writes_a_shared_block(self):
+        """A table ending in a (full) hashed block grows a fresh run."""
         store = make_store()
-        shared = store.allocate_block(BLOCK_TOKENS - 1)
-        store.acquire(shared)  # a second sharer
-        table = [shared]
+        table = BlockTable()
+        store.register_chain([], BLOCK_TOKENS, [11], table)
+        store.acquire(table.block_ids[0])  # a second sharer
         store.extend_table(table, 3)
-        # The tail was copied, filled to a full block, then one fresh
-        # block took the remaining two tokens.
-        assert store.cow_copies == 1
-        assert table[0] != shared
-        assert store.block(shared).ref_count == 1
-        assert [store.block(b).num_tokens for b in table] == [BLOCK_TOKENS, 2]
+        assert (table.private_blocks, table.tail_tokens) == (1, 3)
+        assert store.block(table.block_ids[0]).ref_count == 2
+        assert store.num_blocks == 2
+
+    def test_failed_extend_leaves_the_table_unchanged(self):
+        store = make_store(num_blocks=2)
+        table = private_run(store, BLOCK_TOKENS + 1)
+        with pytest.raises(MemoryManagerError):
+            store.extend_table(table, 2 * BLOCK_TOKENS)
+        assert (table.private_blocks, table.tail_tokens) == (2, 1)
+        assert store.cpu_pool.used_pages == 2
+
+    def test_release_table_returns_the_run_and_caches_hashed_blocks(self):
+        store = make_store()
+        table = BlockTable()
+        store.register_chain([], 3 * BLOCK_TOKENS + 2, [1, 2], table)
+        assert len(table) == 4
+        store.release_table(table)
+        assert store.num_blocks == store.num_cached_blocks == 2
+        assert store.num_private_blocks == 0
+        assert store.cpu_pool.used_pages == 2
 
 
 class TestEviction:
     def test_lru_eviction_frees_oldest_cache(self):
         store = make_store(num_blocks=2)
-        first = store.allocate_block(BLOCK_TOKENS, block_hash=1)
-        second = store.allocate_block(BLOCK_TOKENS, block_hash=2)
+        first = hashed_block(store, 1)
+        second = hashed_block(store, 2)
         store.release(first)
         store.release(second)
         store.acquire(second)  # refresh: second is now MRU + pinned
         store.release(second)
-        store.allocate_block(BLOCK_TOKENS)  # needs one page -> evict LRU
+        private_run(store, BLOCK_TOKENS)  # needs one page -> evict LRU
         assert first not in store
         assert second in store
         assert store.evictions == 1
@@ -156,50 +188,70 @@ class TestEviction:
         """
         store = make_store(num_blocks=4)
         for block_hash in (10, 2, 11):  # cached LRU order: 10, 2, 11
-            store.release(store.allocate_block(BLOCK_TOKENS, block_hash=block_hash))
-        out: list[int] = []
-        store.register_chain([], 3 * BLOCK_TOKENS, [1, 2, 3], out)
+            store.release(hashed_block(store, block_hash))
+        table = BlockTable()
+        store.register_chain([], 3 * BLOCK_TOKENS, [1, 2, 3], table)
         # Block 0 takes the free page; block 1 evicts hash 10 and finds
         # hash 2 still resident; block 2 evicts the hash-2 incumbent.
         assert store.evictions == 2
         assert set(store.prefix_index) == {1, 3, 11}
-        assert store.block(out[1]).block_hash is None
+        assert [store.block(b).block_hash for b in table.block_ids] == [1, 3]
+        assert table.private_blocks == 1
+
+    def test_private_tail_evicts_in_lru_order_after_hashed_blocks(self):
+        """A run's hashed blocks take the free pages; its private tail then
+        evicts one LRU victim per block, oldest first.
+
+        Hash 10 is the oldest cached block and also the run's second hash.
+        Interleaved, that hashed position takes the last free page while
+        the incumbent still owns 10, so it stays private, and only then do
+        the tail's three blocks evict 10, 20 and 30.  Evicting the tail's
+        victims up front would free 10 first and let the run claim it.
+        """
+        store = make_store(num_blocks=6)
+        for block_hash in (10, 20, 30, 50):  # cached LRU order
+            store.release(hashed_block(store, block_hash))
+        table = BlockTable()
+        store.register_chain([], 4 * BLOCK_TOKENS + 2, [40, 10], table)
+        assert store.evictions == 3
+        assert set(store.prefix_index) == {40, 50}
+        assert [store.block(b).block_hash for b in table.block_ids] == [40]
+        assert (table.private_blocks, table.tail_tokens) == (4, 2)
+        assert store.cpu_pool.used_pages == 6
 
     def test_failed_gpu_allocation_rolls_back_cpu_pages(self):
         """A split-store allocation that dies on the GPU pool leaks nothing."""
         store = make_store(num_blocks=8, gpu_ratio=0.5, gpu_blocks=2)
-        store.allocate_block(BLOCK_TOKENS)
-        store.allocate_block(BLOCK_TOKENS)  # GPU pool now full, CPU has room
+        private_run(store, BLOCK_TOKENS)
+        private_run(store, BLOCK_TOKENS)  # GPU pool now full, CPU has room
         cpu_used = store.cpu_pool.used_pages
         with pytest.raises(MemoryManagerError):
-            store.allocate_block(BLOCK_TOKENS)
+            private_run(store, BLOCK_TOKENS)
         assert store.cpu_pool.used_pages == cpu_used
         assert store.num_blocks == 2
 
     def test_eviction_never_removes_referenced_blocks(self):
         store = make_store(num_blocks=2)
-        pinned = store.allocate_block(BLOCK_TOKENS, block_hash=1)
-        store.allocate_block(BLOCK_TOKENS, block_hash=2)
-        # Pool full, nothing evictable: the pool itself must refuse.
+        pinned = hashed_block(store, 1)
+        hashed_block(store, 2)
+        # Pool full, nothing evictable: the allocation must be refused.
         with pytest.raises(MemoryManagerError):
-            store.allocate_block(BLOCK_TOKENS)
+            private_run(store, BLOCK_TOKENS)
         assert pinned in store
 
     def test_evicted_blocks_leave_the_hash_index(self):
         store = make_store(num_blocks=1)
         tokens = (1, 2, 3, 4, 5)
-        block_id = store.allocate_block(
-            BLOCK_TOKENS, block_hash=chain_block_hashes(tokens, BLOCK_TOKENS)[0]
-        )
+        block_id = hashed_block(store, chain_block_hashes(tokens, BLOCK_TOKENS)[0])
         store.release(block_id)
         assert store.match_prefix(tokens)
-        store.allocate_block(BLOCK_TOKENS)  # forces eviction
+        private_run(store, BLOCK_TOKENS)  # forces eviction
         assert store.match_prefix(tokens) == []
 
     def test_can_allocate_counts_evictable_but_not_reserved(self):
         store = make_store(num_blocks=2)
-        a = store.allocate_block(BLOCK_TOKENS, block_hash=1)
-        b = store.allocate_block(BLOCK_TOKENS, block_hash=2)
+        a = hashed_block(store, 1)
+        b = hashed_block(store, 2)
         store.release(a)
         store.release(b)
         assert store.can_allocate_blocks(2)
@@ -211,7 +263,7 @@ class TestEviction:
 class TestAccounting:
     def test_bytes_count_unique_blocks_once(self):
         store = make_store()
-        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=5)
+        block_id = hashed_block(store, 5)
         for _ in range(3):
             store.acquire(block_id)
         cpu, gpu = store.bytes_in_use()
@@ -220,17 +272,24 @@ class TestAccounting:
 
     def test_gpu_split_charges_both_pools(self):
         store = make_store(gpu_ratio=0.5)
-        store.allocate_block(BLOCK_TOKENS)
+        private_run(store, BLOCK_TOKENS)
         cpu, gpu = store.bytes_in_use()
         assert cpu == pytest.approx(BLOCK_BYTES * 0.5)
         assert gpu == pytest.approx(BLOCK_BYTES * 0.5)
 
     def test_live_only_excludes_cached(self):
         store = make_store()
-        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=9)
+        block_id = hashed_block(store, 9)
         store.release(block_id)
         assert store.bytes_in_use(live_only=True) == (0.0, 0.0)
         assert store.bytes_in_use() == (BLOCK_BYTES, 0.0)
+
+    def test_bytes_count_private_runs(self):
+        store = make_store()
+        table = private_run(store, 2 * BLOCK_TOKENS)
+        assert store.bytes_in_use(live_only=True) == (2 * BLOCK_BYTES, 0.0)
+        store.release_table(table)
+        assert store.bytes_in_use() == (0.0, 0.0)
 
 
 class TestRegisterChain:
@@ -243,19 +302,12 @@ class TestRegisterChain:
         tokens = tuple(range(16))
         hashes = self._chain(tokens)
         manual = make_store()
-        manual_ids = []
-        remaining = 16
-        for block_hash in hashes:
-            size = min(BLOCK_TOKENS, remaining)
-            manual_ids.append(
-                manual.allocate_block(size, block_hash=block_hash)
-            )
-            remaining -= size
+        manual_ids = [hashed_block(manual, block_hash) for block_hash in hashes]
         bulk = make_store()
-        out: list[int] = []
-        cached = bulk.register_chain([], 16, hashes, out)
+        table = BlockTable()
+        cached = bulk.register_chain([], 16, hashes, table)
         assert cached == 0
-        assert out == manual_ids
+        assert table.block_ids == manual_ids
         assert bulk.prefix_index == manual.prefix_index
         assert bulk.bytes_in_use() == manual.bytes_in_use()
 
@@ -264,40 +316,51 @@ class TestRegisterChain:
         store = make_store()
         tokens = tuple(range(16))
         hashes = self._chain(tokens)
-        out_first: list[int] = []
-        store.register_chain([], 16, hashes, out_first)
-        for block_id in out_first:
-            store.release(block_id)
-        assert store.num_cached_blocks == len(out_first)
-        out_second: list[int] = []
-        cached = store.register_chain(out_first, 16, hashes, out_second)
+        first = BlockTable()
+        store.register_chain([], 16, hashes, first)
+        store.release_table(first)
+        assert store.num_cached_blocks == len(first.block_ids)
+        second = BlockTable()
+        cached = store.register_chain(first.block_ids, 16, hashes, second)
         assert cached == 16
-        assert out_second == out_first  # same resident blocks, re-acquired
+        assert second.block_ids == first.block_ids  # same blocks, re-acquired
         # Re-registration added no blocks and no duplicate hash entries.
-        assert store.num_blocks == len(out_first)
+        assert store.num_blocks == len(first.block_ids)
         assert len(store.prefix_index) == len(hashes)
-        for block_id in out_second:
+        for block_id in second.block_ids:
             assert store.block(block_id).ref_count == 1
 
-    def test_failure_releases_every_block_it_took(self):
+    def test_failure_leaves_the_store_unchanged(self):
         store = make_store(num_blocks=2)
         tokens = tuple(range(16))  # needs 4 blocks; only 2 fit
         hashes = self._chain(tokens)
-        out: list[int] = []
+        table = BlockTable()
         with pytest.raises(MemoryManagerError):
-            store.register_chain([], 16, hashes, out)
-        # The out list is rolled back; the blocks it did commit are fully
-        # released — hashed blocks park in the cache (as the unfused
-        # release path leaves them), holding no live references.
-        assert out == []
+            store.register_chain([], 16, hashes, table)
+        # Registration is all or nothing: no block was placed.
+        assert table == BlockTable()
+        assert store.num_blocks == 0
+        assert store.prefix_index == {}
+        assert store.cpu_pool.used_pages == 0
+
+    def test_failure_unpins_the_match(self):
+        store = make_store(num_blocks=3)
+        hashes = self._chain(tuple(range(8)))
+        cached = BlockTable()
+        store.register_chain([], 8, hashes, cached)
+        store.release_table(cached)
+        table = BlockTable()
+        with pytest.raises(MemoryManagerError):
+            store.register_chain(cached.block_ids, 4 * BLOCK_TOKENS, hashes, table)
+        assert table.block_ids == []
+        assert store.num_cached_blocks == 2
         assert store.bytes_in_use(live_only=True) == (0.0, 0.0)
-        assert all(b.ref_count == 0 for b in store.resident_blocks())
 
 
 class TestTTLEviction:
     def _cached_block(self, store, block_hash, at_time):
         store.clock_time = at_time
-        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=block_hash)
+        block_id = hashed_block(store, block_hash)
         store.release(block_id)  # shareable -> parks in the cache
         return block_id
 
@@ -313,15 +376,15 @@ class TestTTLEviction:
 
     def test_referenced_blocks_never_expire(self):
         store = make_store()
-        block_id = store.allocate_block(BLOCK_TOKENS, block_hash=3)
+        block_id = hashed_block(store, 3)
         store.clock_time = 100.0
         assert store.expire_idle(cutoff=200.0) == 0
         assert block_id in store
 
-    def test_reacquired_block_survives_stale_heap_entry(self):
+    def test_reacquired_block_survives_stale_queue_entry(self):
         store = make_store()
         block_id = self._cached_block(store, block_hash=4, at_time=0.0)
-        store.acquire(block_id)  # back in use: lazy heap entry stale
+        store.acquire(block_id)  # back in use: its queue entry is stale
         store.clock_time = 100.0
         assert store.expire_idle(cutoff=50.0) == 0
         assert block_id in store

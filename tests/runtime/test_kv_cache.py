@@ -179,3 +179,59 @@ class TestPrefixCacheRegime:
             b for b in manager.block_store.resident_blocks() if b.ref_count > 0
         ]
         assert len(live) == 3
+
+
+# ----------------------------------------------------------------------
+# Cache-off regime: one private run per sequence, rounded per block
+# ----------------------------------------------------------------------
+class TestCacheOffRounding:
+    BLOCK_TOKENS = 16
+
+    def make_manager(self, model, gpu_ratio, page_share, prefix_cache=False):
+        """Pools of 32 blocks whose pages hold ``page_share`` of a block's
+        bytes on each side (``True``: exactly that side's share, as the
+        serving admission controller sizes them; ``False``: a whole block)."""
+        from repro.models.memory import kv_cache_bytes_per_token_per_layer
+
+        block_bytes = (
+            self.BLOCK_TOKENS
+            * kv_cache_bytes_per_token_per_layer(model)
+            * model.num_layers
+        )
+        gpu_page = block_bytes * gpu_ratio if page_share else block_bytes
+        cpu_page = block_bytes - block_bytes * gpu_ratio if page_share else block_bytes
+        return KVCacheManager(
+            model,
+            MemoryPool("cpu", 32 * cpu_page, cpu_page),
+            gpu_pool=MemoryPool("gpu", 32 * gpu_page, gpu_page),
+            gpu_ratio=gpu_ratio,
+            block_tokens=self.BLOCK_TOKENS,
+            prefix_cache=prefix_cache,
+        )
+
+    def test_split_blocks_charge_one_page_per_pool(self, tiny_model):
+        manager = self.make_manager(tiny_model, 0.25, page_share=True)
+        manager.register_sequence(0, 3 * self.BLOCK_TOKENS + 1)  # 4 blocks
+        assert manager.cpu_pool.used_pages == 4
+        assert manager.gpu_pool.used_pages == 4
+        assert manager.cpu_bytes == 4 * manager.cpu_pool.page_bytes
+        assert manager.gpu_bytes == 4 * manager.gpu_pool.page_bytes
+
+    def test_split_shares_round_up_per_block_not_per_sequence(self, tiny_model):
+        """With whole-block pages each share of each block rounds up to a
+        page: 49 tokens at r_c = 0.25 cost 4 pages per pool, where rounding
+        the sequence's byte total would have cost 3 CPU and 1 GPU page."""
+        manager = self.make_manager(tiny_model, 0.25, page_share=False)
+        manager.register_sequence(0, 3 * self.BLOCK_TOKENS + 1)
+        assert manager.cpu_pool.used_pages == 4
+        assert manager.gpu_pool.used_pages == 4
+
+    def test_cache_off_charges_as_cache_on_does(self, tiny_model):
+        off = self.make_manager(tiny_model, 0.25, page_share=True)
+        on = self.make_manager(tiny_model, 0.25, page_share=True, prefix_cache=True)
+        for manager in (off, on):
+            manager.register_sequence(0, 3 * self.BLOCK_TOKENS + 1)
+            manager.append_tokens(0, self.BLOCK_TOKENS)
+        assert off.cpu_pool.used_pages == on.cpu_pool.used_pages == 5
+        assert off.gpu_pool.used_pages == on.gpu_pool.used_pages == 5
+        assert off.headroom_tokens() == on.headroom_tokens()

@@ -121,3 +121,32 @@ class TestBudgetDerivation:
         utilization = admission.utilization()
         assert utilization["kv_cpu"] == pytest.approx(0.5)
         assert utilization["live_requests"] == 1.0
+
+
+def test_admit_of_a_token_id_request_probes_the_index_once(
+    mixtral, t4_node, policy, monkeypatch
+):
+    """The capacity check and the registration share one prefix probe."""
+    from repro.runtime.block_store import SharedBlockStore
+
+    admission = AdmissionController(
+        model=mixtral,
+        hardware=t4_node,
+        workload=uniform_workload(prompt_len=40, generation_len=GEN),
+        policy=policy,
+        block_tokens=BLOCK_TOKENS,
+        prefix_cache=True,
+    )
+    probes = []
+    probe = SharedBlockStore.match_prefix_hashes
+
+    def counting_probe(store, *args):
+        probes.append(args)
+        return probe(store, *args)
+
+    monkeypatch.setattr(SharedBlockStore, "match_prefix_hashes", counting_probe)
+    request = Request(input_len=40, generation_len=GEN, token_ids=tuple(range(40)))
+    assert admission.admit(
+        ServingRequest(request=request, arrival_time=0.0)
+    ).admitted
+    assert len(probes) == 1

@@ -17,6 +17,7 @@ those hashes directly.  These are the regression tests pinning the contract:
 import pytest
 
 from repro.runtime.block_store import (
+    BlockTable,
     SharedBlockStore,
     chain_block_hashes,
 )
@@ -94,7 +95,7 @@ def test_match_prefix_hashes_agrees_with_token_matching(eager, columnar):
     store = SharedBlockStore(
         cpu_pool=pool, block_bytes=block_bytes, block_tokens=BLOCK_TOKENS
     )
-    acquired: list[list[int]] = []
+    acquired: list[BlockTable] = []
     some_hit = some_partial = False
     for lazy, full in zip(columnar, eager):
         chain = lazy.block_hash_chain(BLOCK_TOKENS)
@@ -104,19 +105,17 @@ def test_match_prefix_hashes_agrees_with_token_matching(eager, columnar):
         assert from_tokens == from_hashes
         some_hit = some_hit or bool(from_hashes)
         some_partial = some_partial or 0 < len(from_hashes) < len(chain)
-        # Register the prompt: reuse the match, allocate the rest (only
+        # Register the prompt: reuse the match, hash the rest (only
         # blocks the one-token-short cap leaves matchable).
-        store.acquire_many(from_hashes)
-        block_ids = list(from_hashes)
-        for depth in range(len(from_hashes), matchable // BLOCK_TOKENS):
-            block_ids.append(
-                store.allocate_block(BLOCK_TOKENS, block_hash=chain[depth])
-            )
-        acquired.append(block_ids)
+        table = BlockTable()
+        store.register_chain(
+            from_hashes, (matchable // BLOCK_TOKENS) * BLOCK_TOKENS, chain, table
+        )
+        acquired.append(table)
     assert some_hit, "chat stream must share prefixes across turns"
     assert some_partial, "later turns must extend earlier matches"
-    for block_ids in acquired:
-        store.release_many(block_ids)
+    for table in acquired:
+        store.release_table(table)
 
 
 # ----------------------------------------------------------------------

@@ -106,3 +106,17 @@ def test_token_ids_length_must_match_input_len():
 def test_padding_preserves_token_ids():
     request = Request(input_len=3, generation_len=1, token_ids=(7, 8, 9))
     assert request.padded_to(10).token_ids == (7, 8, 9)
+
+
+def test_hashed_chain_is_memoised_per_block_size():
+    """Eager token-id requests hand out one chain object per block size."""
+    from repro.runtime.block_store import chain_block_hashes
+
+    request = Request(input_len=40, generation_len=4, token_ids=tuple(range(40)))
+    chain = request.block_hash_chain(16)
+    assert request.block_hash_chain(16) is chain
+    assert list(chain) == chain_block_hashes(tuple(range(40)), 16)
+    other = request.block_hash_chain(8)
+    assert len(other) == 5
+    assert request.block_hash_chain(8) is other
+    assert request.block_hash_chain(16) is chain
