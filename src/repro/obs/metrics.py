@@ -1,10 +1,9 @@
 """Streaming metric primitives: counters, gauges and P² histograms.
 
-The serving simulator's reports recompute percentiles from every stored
-latency sample (``numpy.percentile`` over a list).  That is exact but it is
-also the accumulation pattern the ROADMAP's simulator-speed item calls out:
-million-request streams cannot afford one Python object per latency.  This
-module provides the streaming alternative:
+Exact reports recompute percentiles from every stored latency sample
+(``numpy.percentile`` over a list); million-request streams cannot afford
+one Python object per latency.  This module provides the streaming
+alternative:
 
 * :class:`P2Quantile` — the P² algorithm of Jain & Chlamtáč (CACM 1985):
   one quantile estimated from five markers updated in O(1) per
@@ -40,6 +39,10 @@ class P2Quantile:
     piecewise-parabolic (falling back to linear) interpolation.  Until
     five observations arrive the estimate is the exact interpolated
     percentile of the buffered values, so small streams stay exact.
+
+    There is one update, :meth:`add_many`: a fold over the batch with the
+    marker state in locals.  :meth:`add` is a one-value batch, and any
+    chunking of a stream leaves bit-identical state.
     """
 
     def __init__(self, q: float) -> None:
@@ -54,82 +57,126 @@ class P2Quantile:
 
     def add(self, value: float) -> None:
         """Fold one observation into the estimate (O(1))."""
-        value = float(value)
-        self.count += 1
-        if self.count <= 5:
-            # Exact regime: plain append.  The buffer is only sorted when a
-            # value is actually read (see :meth:`value`) and once at the
-            # transition into the sketch regime below, so tiny streams pay
-            # no per-observation sort.
-            self._heights.append(value)
-            return
-        if self.count == 6:
-            # The five buffered values become the initial markers, which
-            # the sketch update relies on being in height order.
-            self._heights.sort()
-
-        heights = self._heights
-        positions = self._positions
-        desired = self._desired
-        increments = self._increments
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and heights[cell + 1] <= value:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        # desired[0]'s increment is always 0.0; skip it on the hot path.
-        desired[1] += increments[1]
-        desired[2] += increments[2]
-        desired[3] += increments[3]
-        desired[4] += 1.0
-
-        for i in (1, 2, 3):
-            position = positions[i]
-            delta = desired[i] - position
-            if delta >= 1.0:
-                if positions[i + 1] - position <= 1.0:
-                    continue
-                step = 1.0
-            elif delta <= -1.0:
-                if positions[i - 1] - position >= -1.0:
-                    continue
-                step = -1.0
-            else:
-                continue
-            candidate = self._parabolic(i, step)
-            if not heights[i - 1] < candidate < heights[i + 1]:
-                candidate = self._linear(i, step)
-            heights[i] = candidate
-            positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+        self.add_many((value,))
 
     def add_many(self, values: Iterable[float]) -> None:
-        """Fold a batch of observations (same state as sequential adds).
-
-        The sketch state is a pure fold over the observation order, so this
-        is exactly ``for v in values: add(v)`` minus the per-call overhead.
-        """
-        add = self.add
-        for value in values:
-            add(value)
+        """Fold a batch of observations, in order (O(1) memory)."""
+        heights = self._heights
+        if self.count < 5:
+            values = iter(values)
+            # Exact regime: plain append.  The buffer is only sorted when a
+            # value is read (see :meth:`value`) and when the sixth value
+            # arrives, so tiny streams pay no per-observation sort.
+            for value in values:
+                heights.append(float(value))
+                self.count += 1
+                if self.count == 5:
+                    break
+            else:
+                return
+        # The sketch update relies on the initial markers being in height
+        # order; sorting a copy leaves a five-value buffer untouched when
+        # no sixth value follows.
+        h0, h1, h2, h3, h4 = sorted(heights) if self.count == 5 else heights
+        n0, n1, n2, n3, n4 = self._positions
+        _, d1, d2, d3, _ = self._desired
+        _, i1, i2, i3, _ = self._increments
+        start = n4
+        try:
+            for value in values:
+                value = float(value)
+                # Shift the positions of the markers above the value's cell
+                # (``not h <= value`` puts a NaN in cell 0, as a left-to-right
+                # cell search does).
+                if value < h0:
+                    h0 = value
+                    n1 += 1.0
+                    n2 += 1.0
+                    n3 += 1.0
+                elif value >= h4:
+                    h4 = value
+                elif not h1 <= value:
+                    n1 += 1.0
+                    n2 += 1.0
+                    n3 += 1.0
+                elif not h2 <= value:
+                    n2 += 1.0
+                    n3 += 1.0
+                elif not h3 <= value:
+                    n3 += 1.0
+                n4 += 1.0
+                d1 += i1
+                d2 += i2
+                d3 += i3
+                # Move each inner marker one position towards its desired
+                # one when it is off by a whole step and its neighbour is
+                # not adjacent: the parabolic height, or the linear one
+                # where the parabola leaves the neighbours' bracket.
+                delta = d1 - n1
+                if (delta >= 1.0 and n2 - n1 > 1.0) or (delta <= -1.0 and n0 - n1 < -1.0):
+                    s = 1.0 if delta > 0.0 else -1.0
+                    c = h1 + s / (n2 - n0) * (
+                        (n1 - n0 + s) * (h2 - h1) / (n2 - n1)
+                        + (n2 - n1 - s) * (h1 - h0) / (n1 - n0)
+                    )
+                    if not h0 < c < h2:
+                        if s > 0.0:
+                            c = h1 + s * (h2 - h1) / (n2 - n1)
+                        else:
+                            c = h1 + s * (h0 - h1) / (n0 - n1)
+                    h1 = c
+                    n1 += s
+                delta = d2 - n2
+                if (delta >= 1.0 and n3 - n2 > 1.0) or (delta <= -1.0 and n1 - n2 < -1.0):
+                    s = 1.0 if delta > 0.0 else -1.0
+                    c = h2 + s / (n3 - n1) * (
+                        (n2 - n1 + s) * (h3 - h2) / (n3 - n2)
+                        + (n3 - n2 - s) * (h2 - h1) / (n2 - n1)
+                    )
+                    if not h1 < c < h3:
+                        if s > 0.0:
+                            c = h2 + s * (h3 - h2) / (n3 - n2)
+                        else:
+                            c = h2 + s * (h1 - h2) / (n1 - n2)
+                    h2 = c
+                    n2 += s
+                delta = d3 - n3
+                if (delta >= 1.0 and n4 - n3 > 1.0) or (delta <= -1.0 and n2 - n3 < -1.0):
+                    s = 1.0 if delta > 0.0 else -1.0
+                    c = h3 + s / (n4 - n2) * (
+                        (n3 - n2 + s) * (h4 - h3) / (n4 - n3)
+                        + (n4 - n3 - s) * (h3 - h2) / (n3 - n2)
+                    )
+                    if not h2 < c < h4:
+                        if s > 0.0:
+                            c = h3 + s * (h4 - h3) / (n4 - n3)
+                        else:
+                            c = h3 + s * (h2 - h3) / (n2 - n3)
+                    h3 = c
+                    n3 += s
+        finally:
+            # Write back once per batch (also when a value fails float()),
+            # by item stores: under tracemalloc every new object, even a
+            # tuple or slice, pays a scan of this long function's line
+            # table.  The maximum's position, like its desired position,
+            # starts at 5.0 and gains 1.0 per value: both equal the count.
+            if n4 != start:
+                self.count = int(n4)
+                heights[0] = h0
+                heights[1] = h1
+                heights[2] = h2
+                heights[3] = h3
+                heights[4] = h4
+                positions = self._positions
+                positions[1] = n1
+                positions[2] = n2
+                positions[3] = n3
+                positions[4] = n4
+                desired = self._desired
+                desired[1] = d1
+                desired[2] = d2
+                desired[3] = d3
+                desired[4] = n4
 
     def value(self) -> float:
         """The current quantile estimate (NaN before any observation)."""
@@ -190,22 +237,13 @@ class StreamingHistogram:
 
     def observe(self, value: float) -> None:
         """Fold one observation into every sketch."""
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        for sketch in self._sketches.values():
-            sketch.add(value)
+        self.observe_many((value,))
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Fold a batch of observations (same state as sequential observes).
+        """Fold a batch of observations into the moments and every sketch.
 
-        Accumulation order is preserved (floats fold left-to-right exactly
-        as :meth:`observe` would), so the summary statistics are
-        bit-identical to the one-at-a-time path.
+        The sum accumulates left to right, so any chunking of a stream
+        gives bit-identical statistics.
         """
         batch = [float(value) for value in values]
         if not batch:

@@ -196,9 +196,17 @@ class ReportBuilder:
     samples, within tested tolerance beyond) and means from running sums
     (which can differ from numpy's pairwise summation in the last few
     ulps — acceptable only in this mode).
+
+    Both modes run one fold, :meth:`observe_many`; :meth:`observe` is a
+    one-request batch, and any split of a stream into batches builds a
+    bit-identical report.
     """
 
+    #: The latency metrics with percentiles; samples add TTFT by cache outcome.
     _LATENCIES = ("ttft", "tpot", "e2e")
+    _SAMPLES = _LATENCIES + ("hit_ttft", "miss_ttft")
+    #: The streaming mode's running sums and counts behind the four means.
+    _MEANS = ("ttft", "tpot", "hit_ttft", "miss_ttft")
 
     def __init__(self, slo: SLO, *, store_samples: bool = False) -> None:
         self.slo = slo
@@ -215,142 +223,99 @@ class ReportBuilder:
         self.num_retries = 0
         if store_samples:
             self._samples: dict[str, list[float]] = {
-                name: [] for name in self._LATENCIES
+                name: [] for name in self._SAMPLES
             }
-            self._hit_ttfts: list[float] = []
-            self._miss_ttfts: list[float] = []
         else:
             self._sketches: dict[str, dict[int, P2Quantile]] = {
                 name: {q: P2Quantile(q / 100.0) for q in REPORT_PERCENTILES}
                 for name in self._LATENCIES
             }
-            self._sums: dict[str, float] = {
-                "ttft": 0.0, "tpot": 0.0, "hit_ttft": 0.0, "miss_ttft": 0.0
-            }
-            self._counts: dict[str, int] = {
-                "ttft": 0, "tpot": 0, "hit_ttft": 0, "miss_ttft": 0
-            }
-            # Hot-path view of the sketches (tuple iteration beats dict
-            # .values() at ~10k observations/s per shard).
-            self._sketch_tuples: dict[str, tuple[P2Quantile, ...]] = {
-                name: tuple(sketches.values())
-                for name, sketches in self._sketches.items()
-            }
+            # One tuple of sketches per latency metric, zipped with the
+            # batch lists by the fold.
+            self._sketch_rows = tuple(
+                tuple(row.values()) for row in self._sketches.values()
+            )
+            self._sums = dict.fromkeys(self._MEANS, 0.0)
+            self._counts = dict.fromkeys(self._MEANS, 0)
 
     def observe(self, sr: ServingRequest) -> None:
         """Fold one terminal (or still-live, at stream end) request in."""
-        self.num_offered += 1
-        if sr.attempt:
-            self.num_retries += 1
-        state = sr.state
-        if state is RequestState.REJECTED:
-            self.num_rejected += 1
-            code = sr.outcome_code or "other"
-            self.outcomes[code] = self.outcomes.get(code, 0) + 1
-            return
-        if state is not RequestState.FINISHED:
-            return
-        self.num_completed += 1
-        self.tokens_generated += sr.tokens_decoded
-        if self.slo.is_met(sr):
-            self.slo_met += 1
-        self.prompt_tokens += sr.request.effective_input_len
-        self.cached_tokens += sr.tokens_cached
-        hit = sr.is_cache_hit
-        if hit:
-            self.cache_hits += 1
-        ttft = sr.ttft
-        tpot = sr.tpot
-        e2e = sr.e2e_latency
-        if self.store_samples:
-            if ttft is not None:
-                self._samples["ttft"].append(ttft)
-                (self._hit_ttfts if hit else self._miss_ttfts).append(ttft)
-            if tpot is not None:
-                self._samples["tpot"].append(tpot)
-            if e2e is not None:
-                self._samples["e2e"].append(e2e)
-        else:
-            if ttft is not None:
-                for sketch in self._sketch_tuples["ttft"]:
-                    sketch.add(ttft)
-                self._sums["ttft"] += ttft
-                self._counts["ttft"] += 1
-                key = "hit_ttft" if hit else "miss_ttft"
-                self._sums[key] += ttft
-                self._counts[key] += 1
-            if tpot is not None:
-                for sketch in self._sketch_tuples["tpot"]:
-                    sketch.add(tpot)
-                self._sums["tpot"] += tpot
-                self._counts["tpot"] += 1
-            if e2e is not None:
-                for sketch in self._sketch_tuples["e2e"]:
-                    sketch.add(e2e)
+        self.observe_many((sr,))
 
     def observe_many(self, serving_requests: Iterable[ServingRequest]) -> None:
-        """Fold a batch of terminal requests in (one retirement's worth).
+        """Fold a batch of terminal (or still-live) requests in, in order.
 
-        Identical aggregate state to calling :meth:`observe` per request in
-        the same order: each P² sketch sees its own metric's values in
-        batch order, and the running float sums accumulate left-to-right —
-        only the per-request call and dict-lookup overhead is amortised.
+        Each request's timestamps are read once.  Exact mode appends the
+        latencies to its sample lists; streaming mode folds the batch's
+        lists into each P² sketch and adds them to the running sums left
+        to right, in request order.
         """
         if self.store_samples:
-            for serving_request in serving_requests:
-                self.observe(serving_request)
-            return
-        ttfts: list[float] = []
-        tpots: list[float] = []
-        e2es: list[float] = []
-        sums = self._sums
-        counts = self._counts
+            ttfts, tpots, e2es, hits, misses = self._samples.values()
+        else:
+            ttfts, tpots, e2es, hits, misses = [], [], [], [], []
+        slo_ttft = self.slo.ttft
+        slo_tpot = self.slo.tpot
+        outcomes = self.outcomes
+        rejected_state = RequestState.REJECTED
+        finished_state = RequestState.FINISHED
+        offered = retries = rejected = completed = 0
+        tokens = met = cache_hits = prompt_tokens = cached_tokens = 0
         for sr in serving_requests:
-            self.num_offered += 1
+            offered += 1
             if sr.attempt:
-                self.num_retries += 1
+                retries += 1
             state = sr.state
-            if state is RequestState.REJECTED:
-                self.num_rejected += 1
-                code = sr.outcome_code or "other"
-                self.outcomes[code] = self.outcomes.get(code, 0) + 1
+            if state is not finished_state:
+                if state is rejected_state:
+                    rejected += 1
+                    code = sr.outcome_code or "other"
+                    outcomes[code] = outcomes.get(code, 0) + 1
                 continue
-            if state is not RequestState.FINISHED:
-                continue
-            self.num_completed += 1
-            self.tokens_generated += sr.tokens_decoded
-            if self.slo.is_met(sr):
-                self.slo_met += 1
-            self.prompt_tokens += sr.request.effective_input_len
-            self.cached_tokens += sr.tokens_cached
-            hit = sr.is_cache_hit
-            if hit:
-                self.cache_hits += 1
-            ttft = sr.ttft
-            tpot = sr.tpot
-            e2e = sr.e2e_latency
-            if ttft is not None:
+            completed += 1
+            tokens += sr.tokens_decoded
+            request = sr.request
+            prompt_tokens += request.effective_input_len
+            cached = sr.tokens_cached
+            cached_tokens += cached
+            if cached > 0:
+                cache_hits += 1
+            arrival = sr.arrival_time
+            first = sr.first_token_time
+            finish = sr.finish_time
+            if first is not None:
+                ttft = first - arrival
                 ttfts.append(ttft)
-                sums["ttft"] += ttft
-                counts["ttft"] += 1
-                key = "hit_ttft" if hit else "miss_ttft"
-                sums[key] += ttft
-                counts[key] += 1
-            if tpot is not None:
-                tpots.append(tpot)
-                sums["tpot"] += tpot
-                counts["tpot"] += 1
-            if e2e is not None:
-                e2es.append(e2e)
-        if ttfts:
-            for sketch in self._sketch_tuples["ttft"]:
-                sketch.add_many(ttfts)
-        if tpots:
-            for sketch in self._sketch_tuples["tpot"]:
-                sketch.add_many(tpots)
-        if e2es:
-            for sketch in self._sketch_tuples["e2e"]:
-                sketch.add_many(e2es)
+                (hits if cached > 0 else misses).append(ttft)
+            if finish is not None:
+                e2es.append(finish - arrival)
+                if first is not None:
+                    decode_tokens = request.generation_len - 1
+                    tpot = (finish - first) / decode_tokens if decode_tokens > 0 else 0.0
+                    tpots.append(tpot)
+                    if ttft <= slo_ttft and tpot <= slo_tpot:
+                        met += 1
+        self.num_offered += offered
+        self.num_retries += retries
+        self.num_rejected += rejected
+        self.num_completed += completed
+        self.tokens_generated += tokens
+        self.slo_met += met
+        self.cache_hits += cache_hits
+        self.prompt_tokens += prompt_tokens
+        self.cached_tokens += cached_tokens
+        if self.store_samples or not completed:
+            return
+        for sketches, batch in zip(self._sketch_rows, (ttfts, tpots, e2es)):
+            for sketch in sketches:
+                sketch.add_many(batch)
+        sums, counts = self._sums, self._counts
+        for name, batch in zip(self._MEANS, (ttfts, tpots, hits, misses)):
+            total = sums[name]
+            for value in batch:
+                total += value
+            sums[name] = total
+            counts[name] += len(batch)
 
     def _percentiles(self, name: str) -> dict[int, float]:
         # A run that completed nothing reports 0.0 percentiles (the
@@ -369,12 +334,7 @@ class ReportBuilder:
 
     def _mean(self, key: str) -> float:
         if self.store_samples:
-            values = {
-                "ttft": self._samples["ttft"],
-                "tpot": self._samples["tpot"],
-                "hit_ttft": self._hit_ttfts,
-                "miss_ttft": self._miss_ttfts,
-            }[key]
+            values = self._samples[key]
             return float(np.mean(values)) if values else 0.0
         count = self._counts[key]
         return self._sums[key] / count if count else 0.0
@@ -421,6 +381,5 @@ def summarize(
     feed a streaming :class:`ReportBuilder` instead.
     """
     builder = ReportBuilder(slo, store_samples=True)
-    for sr in requests:
-        builder.observe(sr)
+    builder.observe_many(requests)
     return builder.build(makespan)

@@ -98,20 +98,16 @@ def test_streaming_mode_reproduces_exact_timeline(backend, monkeypatch, router):
         make_sharded(backend, num_requests, router=router), num_requests
     )
 
+    # ``observe`` is a one-request ``observe_many``, so spying on the
+    # batch path alone sees every request exactly once.
     captured = []
-    original = ReportBuilder.observe
     original_many = ReportBuilder.observe_many
-
-    def spy(self, serving_request):
-        captured.append(serving_request)
-        original(self, serving_request)
 
     def spy_many(self, serving_requests):
         batch = list(serving_requests)
         captured.extend(batch)
         original_many(self, batch)
 
-    monkeypatch.setattr(ReportBuilder, "observe", spy)
     monkeypatch.setattr(ReportBuilder, "observe_many", spy_many)
     streaming = run_stream(
         make_sharded(backend, num_requests, router=router, store_samples=False),
