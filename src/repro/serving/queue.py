@@ -103,11 +103,14 @@ class ServingRequest:
     # ``__init__`` and on detached requests (not dataclass fields).
     _epoch_box = None
     _epoch_offset = 0
+    #: While attached, ``context_len - box[0]``: a plain attribute an
+    #: engine sums over its running set with no property call per request.
+    epoch_context = 0
 
     def attach_decode_epoch(self, box: list[int]) -> None:
         """Back ``tokens_decoded`` by a shared decode-epoch counter."""
-        self._epoch_offset = self.__dict__["tokens_decoded"] - box[0]
         self._epoch_box = box
+        _tokens_decoded_set(self, self.__dict__["tokens_decoded"])
 
     def detach_decode_epoch(self) -> None:
         """Materialise the epoch-backed count back into plain storage."""
@@ -223,6 +226,7 @@ def _tokens_decoded_set(self: ServingRequest, value: int) -> None:
     box = self._epoch_box
     if box is not None:
         self._epoch_offset = value - box[0]
+        self.epoch_context = self.request.effective_input_len + self._epoch_offset
     else:
         self.__dict__["tokens_decoded"] = value
 

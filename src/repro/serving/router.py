@@ -59,8 +59,10 @@ class ShardRouter:
         self.assignments = [0] * num_shards
         self.cache_routed = 0
 
-    def _least_loaded(self, loads: Sequence[int]) -> int:
-        return min(range(self.num_shards), key=lambda s: (loads[s], s))
+    @staticmethod
+    def _least_loaded(loads: Sequence[int]) -> int:
+        # ``index`` finds the first minimum: the lowest id breaks load ties.
+        return loads.index(min(loads))
 
     def route(
         self,
@@ -88,13 +90,14 @@ class ShardRouter:
                     f"expected {self.num_shards} prefix lengths, "
                     f"got {len(prefix_lens)}"
                 )
-            if prefix_lens is not None and max(prefix_lens) > 0:
-                best = max(prefix_lens)
-                # Ties between equally warm shards break by load, then id.
-                shard = min(
-                    (s for s in range(self.num_shards) if prefix_lens[s] == best),
-                    key=lambda s: (loads[s], s),
-                )
+            best = max(prefix_lens) if prefix_lens is not None else 0
+            if best > 0:
+                # Ties between equally warm shards break by load, then id:
+                # a strictly lighter shard replaces the first warm one.
+                shard = prefix_lens.index(best)
+                for s in range(shard + 1, self.num_shards):
+                    if prefix_lens[s] == best and loads[s] < loads[shard]:
+                        shard = s
                 self.cache_routed += 1
             else:
                 shard = self._least_loaded(loads)

@@ -9,10 +9,11 @@ iteration-level scheduling:
 * queued requests are admitted (KV- and slot-gated by the
   :class:`~repro.serving.admission.AdmissionController`) and prefilled in
   chunks between decode iterations;
-* the running set is re-partitioned into balanced micro-batches each decode
-  step with :func:`repro.workloads.batching.batch_requests` (Algorithm 2),
-  so the paper's batching machinery is reused verbatim on a changing
-  population.
+* the engine re-partitions the running set into balanced micro-batches
+  whenever its membership changes, with the same Algorithm 2 kernel
+  (:func:`repro.workloads.batching.partition_lengths`) that
+  :func:`~repro.workloads.batching.batch_requests` runs offline, so the
+  paper's batching machinery is reused verbatim on a changing population.
 
 Three scheduling policies trade TTFT against TPOT:
 
@@ -49,8 +50,6 @@ from repro.serving.admission import AdmissionController
 from repro.serving.queue import RequestQueue, ServingRequest
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import require_positive_int
-from repro.workloads.batching import batch_requests
-from repro.workloads.request import Batch
 
 SCHEDULING_POLICIES: tuple[str, ...] = ("fcfs", "prefill-first", "decode-first")
 
@@ -189,45 +188,3 @@ class ContinuousBatchingScheduler:
         if num_running > 0:
             return SchedulerAction(kind="decode", rejected=rejected)
         return SchedulerAction(kind="idle", rejected=rejected)
-
-    # ------------------------------------------------------------------
-    # Micro-batch formation (Algorithm 2 on the live population)
-    # ------------------------------------------------------------------
-    def form_micro_batches(self, running: list[ServingRequest]) -> Batch:
-        """Re-partition the running set into balanced micro-batches.
-
-        Admission already guarantees the KV budget, so Algorithm 2 runs with
-        an unlimited cache budget here — it only balances token counts
-        across ``ceil(n / μ)`` micro-batches.  (The partition is O(n log n)
-        per step with n capped at the policy batch size — negligible next
-        to the step-cost evaluation.)
-        """
-        if not running:
-            return Batch()
-        mu = min(self.policy.micro_batch_size, len(running))
-        num_micro_batches = -(-len(running) // mu)
-        result = batch_requests(
-            [sr.request for sr in running],
-            num_micro_batches=num_micro_batches,
-            micro_batch_size=mu,
-            generation_len=max(sr.request.generation_len for sr in running),
-        )
-        return result.batch
-
-    def binding_context_len(
-        self, batch: Batch, running: list[ServingRequest]
-    ) -> float:
-        """Context length of the micro-batch that gates the decode pipeline.
-
-        Each decode step processes every micro-batch in turn, and the
-        per-layer pipeline is paced by its slowest micro-batch, so the step
-        is costed at the largest mean context across the partition rather
-        than the global mean.
-        """
-        context_by_id = {sr.request_id: sr.context_len for sr in running}
-        return max(
-            sum(context_by_id[req.request_id] for req in micro_batch)
-            / micro_batch.size
-            for micro_batch in batch
-            if micro_batch.size > 0
-        )

@@ -27,8 +27,7 @@ run reproduces identical per-request timestamps and metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-import numpy as np
+from operator import attrgetter
 
 from repro.core.policy import Policy
 from repro.serving.admission import AdmissionController
@@ -38,7 +37,12 @@ from repro.serving.scheduler import ContinuousBatchingScheduler
 from repro.systems.base import OffloadingSystem
 from repro.utils.errors import ConfigurationError, SimulationError
 from repro.utils.validation import require_positive, require_positive_int
+from repro.workloads.batching import partition_lengths
 from repro.workloads.spec import WorkloadSpec
+
+#: Per-request reads of a decode-shape rebuild (no property call each).
+_PROMPT_LEN = attrgetter("request.input_len")
+_EPOCH_CONTEXT = attrgetter("epoch_context")
 
 #: Phase roles an engine core can serve (mirrors the cluster layer's
 #: ``DEVICE_ROLES``; kept local so serving stays importable without it).
@@ -387,16 +391,10 @@ class EngineCore:
         # pure function of its membership (static request lengths), so it
         # is rebuilt only when membership changes (version bump).  Between
         # rebuilds each group's integer context sum advances by its size
-        # per decode epoch — applied lazily and vectorised from the epoch
-        # delta, so repeated decode steps of an unchanged mega-batch reprice
-        # from the memo table with no per-group Python loop.
+        # per decode epoch, so a step reprices from ``(base, size)`` pairs.
         self._running_version = 0
         self._partition_version = -1
-        self._partition_groups: list[list[ServingRequest]] = []
-        self._partition_base: np.ndarray | None = None
-        self._partition_sizes: np.ndarray | None = None
-        self._partition_epoch = 0
-        self._partition_micro = 0
+        self._partition_bases: list[tuple[int, int]] = []
         # ---- Fault tolerance (inert unless a FaultInjector drives them) ----
         #: Request-level :class:`~repro.serving.faults.ResiliencePolicy`
         #: (deadline timeouts and admission shedding run on-core; retries
@@ -1022,46 +1020,35 @@ class EngineCore:
     def _decode_shape(self) -> tuple[int, float]:
         """Micro-batch count and binding context of the running set.
 
-        The partition produced by ``form_micro_batches`` depends only on
-        the running set's membership (static request lengths), so it is
-        memoised on ``_running_version`` and only rebuilt when requests
-        join or retire.  Between rebuilds the cached integer context sums
-        advance by one token per group member per decode step (exact —
-        context lengths are ints), so the binding context here is
-        bit-for-bit what a fresh ``binding_context_len`` scan would give.
+        The running set is re-partitioned by Algorithm 2
+        (:func:`~repro.workloads.batching.partition_lengths` on prompt
+        lengths, ``ceil(n / mu)`` groups, no cache budget: admission already
+        guarantees the KV).  Each decode step processes every micro-batch in
+        turn and the per-layer pipeline is paced by its slowest one, so the
+        step is costed at the largest mean context across the groups.
+
+        The partition depends only on membership, so it is memoised on
+        ``_running_version``.  Every running request is attached to the
+        decode-epoch counter, so a rebuild sums its members'
+        ``epoch_context`` into each group's context at epoch 0 and a step
+        adds ``size * epoch``.  The sums are exact ints, and int/int true
+        division is the float a per-request scan would give.
         """
         if self._partition_version != self._running_version:
-            batch = self.scheduler.form_micro_batches(self.running)
-            by_id = {sr.request_id: sr for sr in self.running}
-            self._partition_groups = [
-                [by_id[request.request_id] for request in micro_batch]
-                for micro_batch in batch
-                if micro_batch.size > 0
+            running = self.running
+            contexts = list(map(_EPOCH_CONTEXT, running))
+            mu = min(self.policy.micro_batch_size, len(running))
+            groups, _ = partition_lengths(
+                list(map(_PROMPT_LEN, running)), -(-len(running) // mu), mu
+            )
+            self._partition_bases = [
+                (sum(map(contexts.__getitem__, group)), len(group)) for group in groups
             ]
-            self._partition_base = np.array(
-                [
-                    sum(sr.context_len for sr in group)
-                    for group in self._partition_groups
-                ],
-                dtype=np.int64,
-            )
-            self._partition_sizes = np.array(
-                [len(group) for group in self._partition_groups],
-                dtype=np.int64,
-            )
-            self._partition_epoch = self._decode_epochs[0]
-            self._partition_micro = batch.num_micro_batches
             self._partition_version = self._running_version
-        # Each member gains one context token per decode epoch, so the
-        # group sums at the current epoch are base + size * delta — exact
-        # integer arithmetic, and int64/int64 division is bit-for-bit the
-        # Python int/int float the per-request scan used to produce.
-        delta = self._decode_epochs[0] - self._partition_epoch
-        sums = self._partition_base
-        if delta:
-            sums = sums + self._partition_sizes * delta
-        binding_context = float((sums / self._partition_sizes).max())
-        return self._partition_micro, binding_context
+        epoch = self._decode_epochs[0]
+        return len(self._partition_bases), max(
+            [(base + size * epoch) / size for base, size in self._partition_bases]
+        )
 
     def _consume_chunk_budget(
         self, chunk: list[ServingRequest]

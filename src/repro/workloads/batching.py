@@ -6,7 +6,9 @@ length and each is placed into the micro-batch with the fewest prompt
 tokens, unless doing so would overflow the per-micro-batch KV-cache budget
 (in which case the request is aborted to the next batch).  A micro-batch
 that reaches the target size ``ubs`` is sealed and removed from the open
-partitions.
+partitions.  :func:`partition_lengths` is the one copy of the algorithm,
+over integer prompt lengths; :func:`batch_requests` wraps it for request
+lists and the serving engine runs it on its live running set.
 
 ``pad_requests`` implements the padding behaviour of FlexGen and
 MoE-Lightning(p): every request in a batch is padded to the batch's maximum
@@ -15,6 +17,7 @@ prompt length.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -46,6 +49,61 @@ class BatchingResult:
         return sum(mb.size for mb in self.micro_batches)
 
 
+def partition_lengths(
+    lengths: Sequence[int],
+    num_micro_batches: int,
+    micro_batch_size: int,
+    generation_len: int = 1,
+    cache_size_tokens: float = float("inf"),
+) -> tuple[list[list[int]], list[int]]:
+    """Algorithm 2 over integer prompt lengths; returns index groups.
+
+    Indices into ``lengths`` are placed in descending-length order (stable:
+    ties keep their input order) into the open partition with the fewest
+    prompt tokens, the first such partition in creation order.  A placement
+    whose end-of-generation footprint would exceed ``cache_size_tokens``
+    aborts that index and leaves the partitions untouched.  Returns
+    ``(groups, aborted)``: sealed groups in sealing order, then non-empty
+    leftovers in creation order; aborted indices in rejection order.
+    Arguments are not validated (callers do).
+    """
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    groups: list[list[int]] = [[] for _ in range(num_micro_batches)]
+    # Open partitions sit in a min-heap keyed ``tokens << shift | index``:
+    # one int ordered as ``(prompt tokens, creation index)``, so the top is
+    # the first partition with the fewest tokens.
+    shift = num_micro_batches.bit_length()
+    mask = (1 << shift) - 1
+    heap = list(range(num_micro_batches))
+    sealed: list[list[int]] = []
+    aborted: list[int] = []
+    bounded = cache_size_tokens != float("inf")
+    for index in order:
+        if not heap:
+            break
+        key = heap[0]
+        group = groups[key & mask]
+        length = lengths[index]
+        if bounded and (
+            (key >> shift) + length + (1 + len(group)) * generation_len
+            > cache_size_tokens
+        ):
+            aborted.append(index)
+            continue
+        group.append(index)
+        if len(group) == micro_batch_size:
+            heapq.heappop(heap)
+            sealed.append(group)
+        else:
+            heapq.heapreplace(heap, key + (length << shift))
+    # Once every partition is sealed the rest of the queue is aborted; the
+    # loop has then consumed exactly the aborts plus every full partition.
+    aborted.extend(order[len(aborted) + num_micro_batches * micro_batch_size :])
+    # Sealed groups are exactly the full ones; the rest are still open.
+    sealed.extend(group for group in groups if 0 < len(group) < micro_batch_size)
+    return sealed, aborted
+
+
 def batch_requests(
     requests: Sequence[Request],
     num_micro_batches: int,
@@ -75,38 +133,20 @@ def batch_requests(
     require_positive_int("generation_len", generation_len)
     require_non_negative("cache_size_tokens", cache_size_tokens)
 
-    partitions: list[list[Request]] = [[] for _ in range(num_micro_batches)]
-    partition_sums: list[int] = [0 for _ in range(num_micro_batches)]
-    sealed: list[MicroBatch] = []
-    aborted: list[Request] = []
-
-    queue = sorted(requests, key=lambda req: req.input_len, reverse=True)
-    for request in queue:
-        if not partitions:
-            aborted.append(request)
-            continue
-        idx = min(range(len(partitions)), key=lambda i: partition_sums[i])
-        projected_prompt_tokens = partition_sums[idx] + request.input_len
-        projected_cache = projected_prompt_tokens + (
-            1 + len(partitions[idx])
-        ) * generation_len
-        if projected_cache > cache_size_tokens:
-            aborted.append(request)
-            continue
-        partitions[idx].append(request)
-        partition_sums[idx] += request.input_len
-        if len(partitions[idx]) == micro_batch_size:
-            sealed.append(
-                MicroBatch(requests=partitions[idx], micro_batch_id=len(sealed))
-            )
-            partitions.pop(idx)
-            partition_sums.pop(idx)
-
-    for leftover in partitions:
-        if leftover:
-            sealed.append(MicroBatch(requests=leftover, micro_batch_id=len(sealed)))
-
-    return BatchingResult(micro_batches=sealed, aborted=aborted)
+    groups, aborted = partition_lengths(
+        [request.input_len for request in requests],
+        num_micro_batches,
+        micro_batch_size,
+        generation_len,
+        cache_size_tokens,
+    )
+    return BatchingResult(
+        micro_batches=[
+            MicroBatch(requests=[requests[i] for i in group], micro_batch_id=batch_id)
+            for batch_id, group in enumerate(groups)
+        ],
+        aborted=[requests[i] for i in aborted],
+    )
 
 
 def pad_requests(requests: Sequence[Request], pad_to: int | None = None) -> list[Request]:
