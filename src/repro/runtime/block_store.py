@@ -55,7 +55,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.runtime.memory_manager import MemoryPool
-from repro.utils.errors import MemoryManagerError
+from repro.utils.errors import KVCapacityError, MemoryManagerError
 from repro.utils.validation import require_positive, require_positive_int
 
 #: Multiplier of the polynomial rolling hash chaining tokens into block
@@ -213,8 +213,8 @@ class SharedBlockStore:
         #: without a clock behave exactly as before.
         self.clock_time = 0.0
         #: Bumped on every content-index mutation (block registered or
-        #: evicted); routers memoise prefix matches against this, so a
-        #: stale memo can never survive an index change.
+        #: evicted): a prefix match memoised against it can never survive
+        #: an index change.
         self.version = 0
         # LRU order with lazy deletion: ``(stamp, slot)`` is queued when a
         # block enters the cache.  Stamps only grow, so the queue is in LRU
@@ -434,9 +434,12 @@ class SharedBlockStore:
         the remaining ``num_tokens`` minus cached tokens in fresh blocks:
         every full block still covered by ``block_hashes`` whose hash no
         resident block owns becomes a hashed block, every other one joins
-        the table's private run.  When the fresh blocks cannot be placed it
-        unpins the match and raises, leaving the fresh part untouched.
-        Returns the cached (matched) token count.
+        the table's private run.  Returns the cached (matched) token count.
+
+        When the fresh blocks cannot be placed it raises
+        :class:`KVCapacityError` with the store exactly as it was (admission
+        relies on this): the match is unpinned by undoing the acquire, not
+        by a release, which would restamp the blocks most recently used.
         """
         block_tokens = self.block_tokens
         block_ids = table.block_ids
@@ -452,10 +455,15 @@ class SharedBlockStore:
                     remaining,
                     block_hashes[first : first + remaining // block_tokens],
                 )
-            except MemoryManagerError:
+            except KVCapacityError:
                 if first:
                     del block_ids[-first:]
-                    self.release_many(matched_ids)
+                    refs = self._refs
+                    for block_id in matched_ids:
+                        slot = block_id & _SLOT_MASK
+                        refs[slot] -= 1
+                        if not refs[slot]:
+                            self._num_cached += 1
                 raise
         return first * block_tokens
 
@@ -484,13 +492,13 @@ class SharedBlockStore:
         not indexed yet; every other block joins the private run.  Blocks
         are placed in order: while free pages last a block takes them,
         after that each block evicts one LRU victim just before it is
-        placed.  Feasibility is checked up front, so a failure changes
-        nothing.
+        placed.  Feasibility is checked up front, so a failure raises
+        :class:`KVCapacityError` having changed nothing.
         """
         count = -(-num_tokens // self.block_tokens)
         fresh = self._free_fit()
         if count > fresh + self._num_cached:
-            raise MemoryManagerError(
+            raise KVCapacityError(
                 f"block store: {count} blocks requested but only "
                 f"{fresh} fit in free pages and {self._num_cached} are evictable"
             )

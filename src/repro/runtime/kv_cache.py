@@ -19,7 +19,7 @@ prefix index: each sequence is one private run of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.models.config import ModelConfig
@@ -30,7 +30,7 @@ from repro.utils.errors import MemoryManagerError
 from repro.utils.validation import require_non_negative, require_positive_int
 
 
-@dataclass
+@dataclass(slots=True)
 class SequenceCache:
     """KV bookkeeping for one sequence: its length and block table.
 
@@ -38,13 +38,17 @@ class SequenceCache:
     """
 
     sequence_id: int
-    num_tokens: int = 0
-    block_table: BlockTable = field(default_factory=BlockTable)
+    num_tokens: int
+    block_table: BlockTable
     cached_tokens: int = 0
 
 
 class KVCacheManager:
-    """Allocates and tracks the paged KV cache for a batch of sequences."""
+    """Allocates and tracks the paged KV cache for a batch of sequences.
+
+    Registration is all or nothing, so admission registers without checking
+    first; :meth:`can_admit` asks the same question without registering.
+    """
 
     def __init__(
         self,
@@ -74,11 +78,6 @@ class KVCacheManager:
             kv_cache_bytes_per_token_per_layer(model) * model.num_layers
         )
         self.sequences: dict[int, SequenceCache] = {}
-        # One-entry match memo: the admission path matches the same hash
-        # chain twice back-to-back (capacity check, then registration) with
-        # no store mutation in between.  Keyed on chain identity and the
-        # store's content-index version so any insert/evict invalidates it.
-        self._match_memo: tuple | None = None
         self.block_store = SharedBlockStore(
             cpu_pool=cpu_pool,
             block_bytes=block_tokens * self.bytes_per_token(),
@@ -158,33 +157,8 @@ class KVCacheManager:
             matchable_tokens = len(tokens) - 1
         elif matchable_tokens is None:
             raise MemoryManagerError("block_hashes requires matchable_tokens")
-        matched = self._match_hashes_memo(block_hashes, matchable_tokens)
+        matched = self.block_store.match_prefix_hashes(block_hashes, matchable_tokens)
         return block_hashes, matched[: num_tokens // self.block_tokens]
-
-    def _match_hashes_memo(
-        self, block_hashes: Sequence[int], matchable_tokens: int
-    ) -> list[int]:
-        """Prefix match with a one-entry memo over the admit double-probe.
-
-        :meth:`can_admit` and :meth:`register_sequence` run back-to-back on
-        the same chain with nothing mutating the store between them; the
-        memo hits on chain *identity* (requests hand out one memoised chain
-        tuple) and is invalidated by the store's content-index ``version``,
-        which bumps on every insert or eviction — so a hit is always
-        exactly what a fresh probe would return.
-        """
-        store = self.block_store
-        memo = self._match_memo
-        if (
-            memo is not None
-            and memo[0] is block_hashes
-            and memo[1] == matchable_tokens
-            and memo[2] == store.version
-        ):
-            return memo[3]
-        matched = store.match_prefix_hashes(block_hashes, matchable_tokens)
-        self._match_memo = (block_hashes, matchable_tokens, store.version, matched)
-        return matched
 
     # ------------------------------------------------------------------
     # Sequence lifecycle
@@ -206,23 +180,25 @@ class KVCacheManager:
         the caller can pass the prompt's pre-computed chained
         ``block_hashes`` plus ``matchable_tokens`` (``prompt length - 1``)
         directly — bit-identical matching and block tagging without token
-        ids ever existing.
+        ids ever existing.  A reservation that does not fit raises
+        :class:`~repro.utils.errors.KVCapacityError` and changes nothing.
         """
         require_positive_int("prompt_tokens", prompt_tokens)
         if sequence_id in self.sequences:
             raise MemoryManagerError(f"sequence {sequence_id} already registered")
-        cache = SequenceCache(sequence_id=sequence_id)
+        table = BlockTable()
+        cached_tokens = 0
         if self.prefix_cache_enabled:
             chain, matched = self._match(
                 prompt_tokens, token_ids, block_hashes, matchable_tokens
             )
-            cache.cached_tokens = self.block_store.register_chain(
-                matched, prompt_tokens, chain, cache.block_table
+            cached_tokens = self.block_store.register_chain(
+                matched, prompt_tokens, chain, table
             )
         else:
             # Nothing to match or hash: the sequence is one private run.
-            self.block_store.extend_table(cache.block_table, prompt_tokens)
-        cache.num_tokens = prompt_tokens
+            self.block_store.extend_table(table, prompt_tokens)
+        cache = SequenceCache(sequence_id, prompt_tokens, table, cached_tokens)
         self.sequences[sequence_id] = cache
         return cache
 

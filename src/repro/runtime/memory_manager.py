@@ -42,7 +42,8 @@ class MemoryPool:
     free list.  Double frees and foreign pages raise
     :class:`MemoryManagerError`.  Callers that never address individual
     pages (the shared KV block store) charge bare counts through
-    :meth:`reserve` / :meth:`unreserve` instead.
+    :meth:`reserve` / :meth:`unreserve` instead, so the free list is only
+    built by the first :meth:`allocate`.
     """
 
     def __init__(self, name: str, capacity_bytes: float, page_bytes: float) -> None:
@@ -56,7 +57,8 @@ class MemoryPool:
                 f"pool {name!r}: capacity {capacity_bytes} is smaller than one "
                 f"page of {page_bytes} bytes"
             )
-        self._free: list[int] = list(range(self.num_pages - 1, -1, -1))
+        #: Free page indices, popped from the end; ``None`` until needed.
+        self._free: list[int] | None = None
         self._allocated: set[int] = set()
         #: Pages charged by count, without page indices.
         self._reserved = 0
@@ -72,7 +74,7 @@ class MemoryPool:
     @property
     def free_pages(self) -> int:
         """Number of pages neither allocated nor reserved."""
-        return len(self._free) - self._reserved
+        return self.num_pages - len(self._allocated) - self._reserved
 
     @property
     def used_pages(self) -> int:
@@ -118,6 +120,8 @@ class MemoryPool:
         # One slice instead of ``needed`` pops — same pages in the same
         # (reverse-of-free-list) order, without the per-page call overhead.
         free = self._free
+        if free is None:
+            free = self._free = list(range(self.num_pages - 1, -1, -1))
         start = len(free) - needed
         pages = tuple(reversed(free[start:]))
         del free[start:]
@@ -159,13 +163,14 @@ class MemoryPool:
                     f"pool {self.name!r}: double free of page {page}"
                 )
             self._allocated.remove(page)
+            # An allocated page means allocate() has built the free list.
             self._free.append(page)
 
     def reset(self) -> None:
         """Free every allocation (used between batches)."""
         self._allocated.clear()
         self._reserved = 0
-        self._free = list(range(self.num_pages - 1, -1, -1))
+        self._free = None
 
 
 @dataclass

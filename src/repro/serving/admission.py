@@ -19,6 +19,10 @@ With ``prefix_cache=True`` the controller fronts the shared block store of
 the cached prefix blocks, the reservation covers only the *incremental*
 blocks beyond the match, and the matched prefix is recorded on the request
 so the engine skips those tokens at prefill.
+
+Admission is one probe per request: the KV registration is all or
+nothing, so :meth:`AdmissionController.admit_checked` just attempts it, and
+a request that does not fit changes nothing and waits.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from repro.models.memory import kv_cache_bytes_per_token_per_layer
 from repro.runtime.kv_cache import KVCacheManager
 from repro.runtime.memory_manager import MemoryPool
 from repro.serving.queue import ServingRequest
-from repro.utils.errors import MemoryManagerError
+from repro.utils.errors import KVCapacityError, MemoryManagerError
 from repro.utils.validation import require_positive_int
 from repro.workloads.spec import WorkloadSpec
 
@@ -191,10 +195,16 @@ class AdmissionController:
                 reason=f"batch full ({self.max_live_requests} live requests)",
             )
         request = serving_request.request
-        if not self.kv_cache.can_admit(
+        kv_cache = self.kv_cache
+        chain = None
+        if kv_cache.prefix_cache_enabled:
+            chain = request.block_hash_chain(kv_cache.block_tokens)
+        if not kv_cache.can_admit(
             request.effective_input_len,
             request.generation_len if self.reserve_output_tokens else 0,
-            **self._prefix_identity(request),
+            None,
+            chain,
+            request.input_len - 1,
         ):
             return AdmissionDecision(
                 admitted=False,
@@ -202,79 +212,71 @@ class AdmissionController:
             )
         return AdmissionDecision(admitted=True)
 
-    def _prefix_identity(self, request) -> dict:
-        """Content-identity kwargs for the KV manager, cheapest form first.
-
-        Hash chains are the native currency: stored chains (columnar chat
-        streams) cost nothing, eager token ids hash through the memoised
-        chain function, and lazy token sources are never materialised just
-        to admit or match.  With the cache off there is nothing to match.
-        """
-        if not self.kv_cache.prefix_cache_enabled:
-            return {}
-        chain = request.block_hash_chain(self.kv_cache.block_tokens)
-        if chain is None:
-            return {}
-        return {
-            "block_hashes": chain,
-            "matchable_tokens": request.input_len - 1,
-        }
-
     def admit(self, serving_request: ServingRequest) -> AdmissionDecision:
-        """Check and, on success, reserve the request's full KV footprint.
+        """Reserve the request's full KV footprint, counting a refusal.
 
         The reservation covers prompt plus every token that will be
         generated, so a request admitted now can never be evicted mid-decode
         by a later admission — the same guarantee Algorithm 2's cache-budget
         check gives within a batch.  Prefix-cache hits acquire references on
         the matched blocks (pinning them against eviction) and are recorded
-        on the request as already-prefilled tokens.
+        on the request as already-prefilled tokens.  A refused request is
+        counted as a slot or KV rejection; callers that will retry it later
+        use :meth:`admit_checked`, which counts nothing.
         """
+        if self.admit_checked(serving_request):
+            return AdmissionDecision(admitted=True)
         decision = self.check(serving_request)
-        if not decision.admitted:
-            if "KV cache" in decision.reason:
-                self.rejected_kv_count += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("admission.rejected_kv")
-            else:
-                self.rejected_slots_count += 1
-                if self.telemetry is not None:
-                    self.telemetry.count("admission.rejected_slots")
-            return decision
-        self.admit_checked(serving_request)
+        if "KV cache" in decision.reason:
+            self.rejected_kv_count += 1
+            if self.telemetry is not None:
+                self.telemetry.count("admission.rejected_kv")
+        else:
+            self.rejected_slots_count += 1
+            if self.telemetry is not None:
+                self.telemetry.count("admission.rejected_slots")
         return decision
 
-    def admit_checked(self, serving_request: ServingRequest) -> None:
-        """Reserve KV for a request that just passed :meth:`check`.
+    def admit_checked(self, serving_request: ServingRequest) -> bool:
+        """Admit the request if it fits now; ``False`` changes nothing.
 
-        The scheduler's admission loop peeks, checks, pops and admits the
-        same request with nothing in between that could change admission
-        state, so this skips :meth:`admit`'s redundant re-check — the hot
-        path pays for one capacity probe per admission, not two.
+        One probe per admission: the KV registration is the capacity check.
+        It is all or nothing, so a request that does not fit (or finds the
+        live-sequence slots full) leaves the cache, the store and every
+        counter as they were, and can simply wait at the head of its queue.
         """
+        kv_cache = self.kv_cache
+        if len(kv_cache.sequences) >= self.max_live_requests:
+            return False
         request = serving_request.request
-        reserve = (
-            request.generation_len if self.reserve_output_tokens else 0
-        )
-        cache = self.kv_cache.register_sequence(
-            serving_request.request_id,
-            request.effective_input_len + reserve,
-            **self._prefix_identity(request),
-        )
-        serving_request.tokens_cached = cache.cached_tokens
-        serving_request.tokens_prefilled = max(
-            serving_request.tokens_prefilled, cache.cached_tokens
-        )
+        input_len = request.input_len
+        padded_len = request.padded_len
+        prompt = input_len if padded_len is None else padded_len
+        tokens = prompt + request.generation_len if self.reserve_output_tokens else prompt
+        chain = None
+        if kv_cache.prefix_cache_enabled:
+            chain = request.block_hash_chain(kv_cache.block_tokens)
+        try:
+            cache = kv_cache.register_sequence(
+                serving_request.request_id, tokens, None, chain, input_len - 1
+            )
+        except KVCapacityError:
+            return False
+        cached = cache.cached_tokens
+        serving_request.tokens_cached = cached
+        if cached > serving_request.tokens_prefilled:
+            serving_request.tokens_prefilled = cached
         self.admitted_count += 1
-        if cache.cached_tokens > 0:
+        self.cached_tokens_total += cached
+        self.prompt_tokens_total += prompt
+        if cached > 0:
             self.cache_hit_count += 1
-        self.cached_tokens_total += cache.cached_tokens
-        self.prompt_tokens_total += request.effective_input_len
         if self.telemetry is not None:
             self.telemetry.count("admission.admitted")
-            if cache.cached_tokens > 0:
+            if cached > 0:
                 self.telemetry.count("admission.cache_hits")
-                self.telemetry.count("admission.cached_tokens", cache.cached_tokens)
+                self.telemetry.count("admission.cached_tokens", cached)
+        return True
 
     def release(self, serving_request: ServingRequest) -> None:
         """Free a finished request's KV reservation."""

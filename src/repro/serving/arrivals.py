@@ -31,7 +31,11 @@ import numpy as np
 
 from repro.utils.errors import ConfigurationError
 from repro.utils.validation import require_positive, require_positive_int
-from repro.workloads.generators import generate_request_columns, generate_requests
+from repro.workloads.generators import (
+    STREAM_CHUNK,
+    generate_request_columns,
+    generate_requests,
+)
 from repro.workloads.request import Request
 from repro.workloads.spec import WorkloadSpec
 
@@ -76,13 +80,9 @@ class ArrivalProcess(abc.ABC):
         count = count if count is not None else spec.num_requests
         require_positive_int("count", count)
         requests = generate_requests(spec, count=count, seed=seed)
-        times = self.arrival_times(count, np.random.default_rng([seed, 0xA221]))
-        if len(times) != count:
-            raise ConfigurationError(
-                f"{self.name}: expected {count} arrival times, got {len(times)}"
-            )
+        times = self.stream_times(count, np.random.default_rng([seed, 0xA221]))
         return [
-            TimedRequest(request=request, arrival_time=float(time))
+            TimedRequest(request=request, arrival_time=time)
             for request, time in zip(requests, times)
         ]
 
@@ -96,8 +96,8 @@ class ArrivalProcess(abc.ABC):
     ) -> Iterator[TimedRequest]:
         """Lazily yield the stream :meth:`generate` would materialise.
 
-        Arrival times are still drawn vectorised in one shot (same rng
-        stream as :meth:`generate`, so timestamps match exactly), but
+        Arrival times come from :meth:`stream_times` (same rng stream as
+        :meth:`generate`, so timestamps match exactly), and
         request bodies come from the columnar generator and turn into
         :class:`Request` objects only as the consumer pulls them — the
         peak footprint of a million-request stream is one request, not a
@@ -110,22 +110,52 @@ class ArrivalProcess(abc.ABC):
         """
         count = count if count is not None else spec.num_requests
         require_positive_int("count", count)
-        times = self.arrival_times(count, np.random.default_rng([seed, 0xA221]))
-        if len(times) != count:
-            raise ConfigurationError(
-                f"{self.name}: expected {count} arrival times, got {len(times)}"
-            )
+        times = self.stream_times(count, np.random.default_rng([seed, 0xA221]))
         requests = generate_request_columns(
             spec,
             count=count,
             seed=seed,
             prefix_block_tokens=prefix_block_tokens if token_ids else None,
         ).iter_requests()
-        for request, time in zip(requests, times.tolist()):
+        for request, time in zip(requests, times):
             yield TimedRequest(request=request, arrival_time=time)
 
+    def stream_times(self, count: int, rng: np.random.Generator) -> Iterator[float]:
+        """:meth:`arrival_times` as Python floats, checked for ``count``."""
+        times = self.arrival_times(count, rng)
+        if len(times) != count:
+            raise ConfigurationError(
+                f"{self.name}: expected {count} arrival times, got {len(times)}"
+            )
+        return iter(times.tolist())
 
-class PoissonProcess(ArrivalProcess):
+
+class RenewalProcess(ArrivalProcess):
+    """Arrivals whose inter-arrival gaps are independent draws."""
+
+    @abc.abstractmethod
+    def gaps(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """Return ``count`` non-negative inter-arrival gaps."""
+
+    def arrival_times(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return np.cumsum(self.gaps(count, rng))
+
+    def stream_times(self, count: int, rng: np.random.Generator) -> Iterator[float]:
+        """:meth:`arrival_times` drawn and summed ``STREAM_CHUNK`` at a time.
+
+        Chunked draws consume the rng exactly as one draw does, and each
+        chunk's running sum starts from the previous chunk's last time, so
+        every timestamp is the same float while the stream stays O(chunk).
+        """
+        last = np.zeros(1)
+        for start in range(0, count, STREAM_CHUNK):
+            gaps = self.gaps(min(STREAM_CHUNK, count - start), rng)
+            times = np.cumsum(np.concatenate((last, gaps)))[1:]
+            last = times[-1:]
+            yield from times.tolist()
+
+
+class PoissonProcess(RenewalProcess):
     """Open-loop Poisson arrivals at ``rate`` requests per second."""
 
     name = "poisson"
@@ -134,12 +164,11 @@ class PoissonProcess(ArrivalProcess):
         require_positive("rate", rate)
         self.rate = float(rate)
 
-    def arrival_times(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        gaps = rng.exponential(scale=1.0 / self.rate, size=count)
-        return np.cumsum(gaps)
+    def gaps(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.exponential(scale=1.0 / self.rate, size=count)
 
 
-class GammaProcess(ArrivalProcess):
+class GammaProcess(RenewalProcess):
     """Gamma-renewal arrivals: ``rate`` requests/s with burstiness ``cv``.
 
     The coefficient of variation ``cv`` of the inter-arrival gap controls
@@ -156,11 +185,10 @@ class GammaProcess(ArrivalProcess):
         self.rate = float(rate)
         self.cv = float(cv)
 
-    def arrival_times(self, count: int, rng: np.random.Generator) -> np.ndarray:
+    def gaps(self, count: int, rng: np.random.Generator) -> np.ndarray:
         shape = 1.0 / (self.cv**2)
         scale = 1.0 / (self.rate * shape)
-        gaps = rng.gamma(shape=shape, scale=scale, size=count)
-        return np.cumsum(gaps)
+        return rng.gamma(shape=shape, scale=scale, size=count)
 
 
 class DeterministicProcess(ArrivalProcess):

@@ -158,14 +158,9 @@ class PhaseRouter:
             shard: 0 for shard in (*self.prefill_shards, *self.decode_shards)
         }
 
-    def _eligible(self, shards: Sequence[int], now: float) -> list[int]:
-        if self.ready_at is None:
-            return list(shards)
-        ready = [s for s in shards if self.ready_at[s] <= now]
-        if ready:
-            return ready
+    def _earliest_ready(self, shards: Sequence[int]) -> int:
         # Cold pool: queue on whichever shard will come up first.
-        return [min(shards, key=lambda s: (self.ready_at[s], s))]
+        return min(shards, key=lambda s: (self.ready_at[s], s))
 
     def route_prefill(
         self,
@@ -175,15 +170,17 @@ class PhaseRouter:
         """Pick the prefill shard that will finish this prompt soonest."""
         prompt = serving_request.request.effective_input_len
         now = serving_request.arrival_time
-        shard = min(
-            self._eligible(self.prefill_shards, now),
-            key=lambda s: (
-                (self.outstanding_tokens[s] + prompt) / self.prefill_speeds[s],
-                loads[s],
-                s,
-            ),
-        )
-        self.outstanding_tokens[shard] += prompt
+        ready_at = self.ready_at
+        outstanding = self.outstanding_tokens
+        speeds = self.prefill_speeds
+        best = None
+        for s in self.prefill_shards:
+            if ready_at is None or ready_at[s] <= now:
+                key = ((outstanding[s] + prompt) / speeds[s], loads[s], s)
+                if best is None or key < best:
+                    best = key
+        shard = best[2] if best else self._earliest_ready(self.prefill_shards)
+        outstanding[shard] += prompt
         self.assignments[shard] += 1
         return shard
 
@@ -203,9 +200,13 @@ class PhaseRouter:
         :meth:`~repro.serving.admission.AdmissionController.kv_headroom_tokens`;
         ties break by outstanding load, then shard id.
         """
-        shard = min(
-            self._eligible(self.decode_shards, now),
-            key=lambda s: (-headrooms[s], loads[s], s),
-        )
+        ready_at = self.ready_at
+        best = None
+        for s in self.decode_shards:
+            if ready_at is None or ready_at[s] <= now:
+                key = (-headrooms[s], loads[s], s)
+                if best is None or key < best:
+                    best = key
+        shard = best[2] if best else self._earliest_ready(self.decode_shards)
         self.assignments[shard] += 1
         return shard

@@ -149,12 +149,8 @@ class ContinuousBatchingScheduler:
             while queue and admitted < limit:
                 if budget is not None and budget <= 0 and chunk:
                     break
-                decision = self.admission.check(queue.peek())
-                if decision.admitted:
+                if self.admission.admit_checked(queue.peek()):
                     candidate = queue.pop()
-                    # Nothing can change admission state between the check
-                    # above and this reservation; skip the re-check.
-                    self.admission.admit_checked(candidate)
                     chunk.append(candidate)
                     admitted += 1
                     if budget is not None:
@@ -170,8 +166,7 @@ class ContinuousBatchingScheduler:
                     # failing admit() records the drop in the controller's
                     # rejection counters.
                     oversized = queue.pop()
-                    self.admission.admit(oversized)
-                    oversized.reject_reason = decision.reason
+                    oversized.reject_reason = self.admission.admit(oversized).reason
                     rejected.append(oversized)
                     continue
                 # Head-of-line request must wait for capacity to free up.

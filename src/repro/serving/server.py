@@ -586,9 +586,7 @@ class EngineCore:
         joined = False
         epoch = self._decode_epochs[0]
         for serving_request in self._pending_joins:
-            decision = self.admission.check(serving_request)
-            if decision.admitted:
-                self.admission.admit_checked(serving_request)
+            if self.admission.admit_checked(serving_request):
                 serving_request.shard_id = self.shard_id
                 self.migrated_in += 1
                 serving_request.attach_decode_epoch(self._decode_epochs)

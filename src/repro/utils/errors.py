@@ -42,3 +42,7 @@ class ScheduleError(ReproError):
 
 class MemoryManagerError(ReproError):
     """Paged memory allocation failed (out of pages, double free, bad page)."""
+
+
+class KVCapacityError(MemoryManagerError):
+    """A KV reservation does not fit, even after eviction; nothing changed."""

@@ -12,9 +12,10 @@ Every generator accepts a ``seed`` so experiments are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Dict, Iterator
+from itertools import repeat
+from typing import Callable, Dict, Iterable, Iterator
 
 import numpy as np
 
@@ -350,15 +351,22 @@ def _chat_prefix_hash_rows(
 # ----------------------------------------------------------------------
 # Columnar generation (the streaming hot path)
 # ----------------------------------------------------------------------
+#: Requests turned into Python values at a time while streaming columns.
+STREAM_CHUNK = 4096
+
+
 @dataclass(frozen=True)
 class RequestColumns:
-    """A request stream as parallel numpy columns instead of objects.
+    """A request stream as numpy columns instead of objects.
 
-    The hot-path counterpart of :func:`generate_requests`: lengths (and,
-    for chat, session ids) are produced vectorised in one shot, and
-    :meth:`iter_requests` materialises :class:`Request` objects lazily —
-    one at a time, as the serving loop consumes them — so a million-long
-    stream never exists as a million simultaneous objects.
+    The hot-path counterpart of :func:`generate_requests`: lengths are
+    produced vectorised in one shot, and :meth:`iter_requests`
+    materialises :class:`Request` objects lazily — one at a time, as the
+    serving loop consumes them, converting ``STREAM_CHUNK`` rows to Python
+    values at a time — so a million-long stream never exists as a million
+    simultaneous objects.  Chat columns are not stored at all: request
+    ``i`` is turn ``i // num_sessions`` of session ``i % num_sessions``
+    (turn-major order), so ``lengths`` holds one prompt length per turn.
 
     Prompt *content* travels as prefix identity, not token ids: chat
     streams built with ``prefix_block_tokens`` carry one uint64 block-hash
@@ -372,58 +380,63 @@ class RequestColumns:
     turn-major session order) matches the object path value-for-value.
     """
 
-    input_lens: np.ndarray
-    generation_lens: np.ndarray
-    session_ids: np.ndarray | None = None
+    count: int
+    generation_len: int
+    #: Prompt length of every request, or of every turn for chat.
+    lengths: np.ndarray
+    num_sessions: int | None = None
     prefix_hash_rows: np.ndarray | None = None
     prefix_block_tokens: int | None = None
     system_tokens: tuple[int, ...] | None = None
     seed: int | None = None
 
     def __len__(self) -> int:
-        return len(self.input_lens)
+        return self.count
+
+    def _chunks(self) -> Iterator[tuple[list[int], Iterable[int | None]]]:
+        """``(prompt lengths, session ids)``, a chunk at a time."""
+        for start in range(0, self.count, STREAM_CHUNK):
+            stop = min(start + STREAM_CHUNK, self.count)
+            if self.num_sessions is None:
+                yield self.lengths[start:stop].tolist(), repeat(None)
+            else:
+                turns, sessions = np.divmod(np.arange(start, stop), self.num_sessions)
+                yield self.lengths[turns].tolist(), sessions.tolist()
 
     def iter_requests(self) -> Iterator[Request]:
         """Yield :class:`Request` objects one at a time, in stream order."""
-        input_lens = self.input_lens.tolist()
-        generation_lens = self.generation_lens.tolist()
-        if self.session_ids is None:
-            for input_len, generation_len in zip(input_lens, generation_lens):
-                yield Request(input_len=input_len, generation_len=generation_len)
-        elif self.prefix_hash_rows is None:
-            for input_len, generation_len, session in zip(
-                input_lens, generation_lens, self.session_ids.tolist()
-            ):
-                yield Request(
-                    input_len=input_len,
-                    generation_len=generation_len,
-                    session_id=session,
-                )
-        else:
-            block_tokens = self.prefix_block_tokens
-            hash_rows = self.prefix_hash_rows
-            system_tokens = self.system_tokens
-            system_len = len(system_tokens)
-            for input_len, generation_len, session in zip(
-                input_lens, generation_lens, self.session_ids.tolist()
-            ):
-                chain = tuple(
-                    hash_rows[session, : input_len // block_tokens].tolist()
-                )
-                yield Request(
-                    input_len=input_len,
-                    generation_len=generation_len,
-                    session_id=session,
-                    prefix_hashes=chain,
-                    prefix_block_tokens=block_tokens,
-                    token_source=partial(
-                        _resolve_chat_tokens,
-                        system_tokens,
-                        self.seed,
-                        session,
-                        input_len - system_len,
-                    ),
-                )
+        generation_len = self.generation_len
+        hash_rows = self.prefix_hash_rows
+        block_tokens = self.prefix_block_tokens
+        system_tokens = self.system_tokens
+        for input_lens, session_ids in self._chunks():
+            if hash_rows is None:
+                for input_len, session in zip(input_lens, session_ids):
+                    yield Request(
+                        input_len=input_len,
+                        generation_len=generation_len,
+                        session_id=session,
+                    )
+            else:
+                system_len = len(system_tokens)
+                for input_len, session in zip(input_lens, session_ids):
+                    chain = tuple(
+                        hash_rows[session, : input_len // block_tokens].tolist()
+                    )
+                    yield Request(
+                        input_len=input_len,
+                        generation_len=generation_len,
+                        session_id=session,
+                        prefix_hashes=chain,
+                        prefix_block_tokens=block_tokens,
+                        token_source=partial(
+                            _resolve_chat_tokens,
+                            system_tokens,
+                            self.seed,
+                            session,
+                            input_len - system_len,
+                        ),
+                    )
 
     def materialize(self) -> list[Request]:
         """Eager list form (for tests and small streams)."""
@@ -441,9 +454,10 @@ def generate_request_columns(
     Non-chat workloads draw the same ``np.random.default_rng(seed)``
     length sample as the object path (and force the first request to the
     spec maximum the same way).  Chat prompt lengths are deterministic
-    arithmetic in the turn index, so the columns are built directly with
-    ``np.repeat``/``np.tile`` in the object path's turn-major emission
-    order.  Passing ``prefix_block_tokens`` additionally hashes each
+    arithmetic in the turn index, so a chat stream keeps one length per
+    turn and derives each request's turn and session from its position in
+    the object path's turn-major emission order.  Passing
+    ``prefix_block_tokens`` additionally hashes each
     session's token stream into a shared uint64 block-hash row (vectorised,
     chunked) so emitted chat requests carry their prefix chain plus a lazy
     token source — bit-identical content identity to the object path
@@ -462,32 +476,21 @@ def generate_request_columns(
             ],
             dtype=np.int64,
         )
-        input_lens = np.repeat(turn_lens, num_sessions)[:count]
-        session_ids = np.tile(
-            np.arange(num_sessions, dtype=np.int64), spec.turns_per_session
-        )[:count]
-        generation_lens = np.full(count, spec.generation_len, dtype=np.int64)
-        if prefix_block_tokens is not None:
-            require_positive_int("prefix_block_tokens", prefix_block_tokens)
-            return RequestColumns(
-                input_lens=input_lens,
-                generation_lens=generation_lens,
-                session_ids=session_ids,
-                prefix_hash_rows=_chat_prefix_hash_rows(
-                    spec, num_sessions, seed, prefix_block_tokens
-                ),
-                prefix_block_tokens=prefix_block_tokens,
-                system_tokens=_chat_system_tokens(spec, seed),
-                seed=seed,
-            )
-        return RequestColumns(
-            input_lens=input_lens,
-            generation_lens=generation_lens,
-            session_ids=session_ids,
+        columns = RequestColumns(count, spec.generation_len, turn_lens, num_sessions)
+        if prefix_block_tokens is None:
+            return columns
+        require_positive_int("prefix_block_tokens", prefix_block_tokens)
+        return replace(
+            columns,
+            prefix_hash_rows=_chat_prefix_hash_rows(
+                spec, num_sessions, seed, prefix_block_tokens
+            ),
+            prefix_block_tokens=prefix_block_tokens,
+            system_tokens=_chat_system_tokens(spec, seed),
+            seed=seed,
         )
     rng = np.random.default_rng(seed)
     lengths = _sample_lengths(spec, count, rng)
     if count > 1:
         lengths[0] = spec.max_prompt_len
-    generation_lens = np.full(count, spec.generation_len, dtype=np.int64)
-    return RequestColumns(input_lens=lengths, generation_lens=generation_lens)
+    return RequestColumns(count, spec.generation_len, lengths)

@@ -107,8 +107,8 @@ class Request:
         same block size (no token materialisation), falls back to hashing
         ``token_ids``, and returns ``None`` when the request carries no
         content identity at all.  A chain hashed from ``token_ids`` is
-        memoised on the request per block size, so every call returns the
-        same tuple: admission's match memo keys on chain identity.
+        memoised on the request per block size, so admission and every
+        routing probe hash an eager prompt once.
         """
         if (
             self.prefix_hashes is not None

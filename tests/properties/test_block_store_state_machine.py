@@ -3,8 +3,9 @@
 A hypothesis ``RuleBasedStateMachine`` drives one :class:`SharedBlockStore`
 (split across a CPU and a GPU pool) and a dict-and-list model of the same
 semantics through random interleavings of chain registration (with and
-without a private tail), purely private registration, tail growth across
-block boundaries, release, TTL expiry and crash teardown.  After every
+without a private tail), over-capacity chain registration, purely private
+registration, tail growth across block boundaries, release, TTL expiry and
+crash teardown.  After every
 rule the two must agree on refcounts, private runs, cached and resident
 counts, pool pages, the content-index key set, the eviction counters and
 prefix-match depths.  Block ids are the store's business, so the model
@@ -26,7 +27,7 @@ from hypothesis.stateful import (
 
 from repro.runtime.block_store import BlockTable, SharedBlockStore
 from repro.runtime.memory_manager import MemoryPool
-from repro.utils.errors import MemoryManagerError
+from repro.utils.errors import KVCapacityError, MemoryManagerError
 
 BLOCK_TOKENS = 4
 BLOCK_BYTES = 1024.0
@@ -137,6 +138,7 @@ class ReferenceStore:
         self, matched: list[int], num_tokens: int, hashes: list[int]
     ) -> ModelSequence:
         sequence = ModelSequence()
+        lru = dict(self.lru)
         for mid in matched:
             self.blocks[mid][0] += 1
             self.lru.pop(mid, None)
@@ -150,8 +152,11 @@ class ReferenceStore:
                     hashes[first : first + remaining // BLOCK_TOKENS],
                 )
             except MemoryManagerError:
+                # A refused registration unpins its match exactly: the
+                # blocks keep their LRU places and cache times.
                 for mid in matched:
-                    self.release_mid(mid)
+                    self.blocks[mid][0] -= 1
+                self.lru = lru
                 raise
         sequence.mids[:0] = matched
         return sequence
@@ -183,6 +188,27 @@ class ReferenceStore:
             self._free(mid)
         self.crash_drops += len(dropped)
         return len(dropped)
+
+
+def store_state(store: SharedBlockStore) -> tuple:
+    """Everything a registration could touch, as comparable values."""
+    return (
+        list(store._refs),
+        list(store._hashes),
+        list(store._touch_time),
+        list(store._stamps),
+        list(store._ids),
+        list(store._free_slots),
+        dict(store._hash_index),
+        list(store._lru),
+        store._private_blocks,
+        store._num_cached,
+        store._stamp,
+        store.version,
+        store.evictions,
+        store.cpu_pool.free_pages,
+        store.gpu_pool.free_pages,
+    )
 
 
 def make_store() -> SharedBlockStore:
@@ -229,6 +255,40 @@ class BlockStoreMachine(RuleBasedStateMachine):
             lambda: self.model.register_chain(model_matched, num_tokens, hashes),
             cached_tokens=len(matched) * BLOCK_TOKENS,
         )
+
+    @precondition(lambda self: self.store.num_cached_blocks)
+    @rule(
+        depth=st.integers(1, CHAIN_DEPTH),
+        extra=st.integers(1, 2 * BLOCK_TOKENS),
+    )
+    def register_chain_over_capacity(self, depth, extra):
+        """A matched chain whose fresh blocks cannot fit changes nothing.
+
+        Each family's reservation needs every block the pools could ever
+        free (the whole pool less the match) and ``extra`` tokens more, so
+        it must be refused whatever the store holds, and the refusal must
+        leave every column (stamps and touch times included), the LRU
+        queue, the counters and the pools exactly as they were.  It runs
+        only while some block is cached, so matches often include blocks a
+        release would restamp.
+        """
+        capacity = min(CPU_BLOCKS, GPU_BLOCKS)
+        num_tokens = capacity * BLOCK_TOKENS + extra
+        matchable = depth * BLOCK_TOKENS
+        for family in range(FAMILIES):
+            hashes = family_chain(family)[:depth]
+            matched = self.store.match_prefix_hashes(hashes, matchable)
+            assert len(matched) == len(self.model.match(hashes, matchable))
+            before = store_state(self.store)
+            table = BlockTable()
+            try:
+                self.store.register_chain(matched, num_tokens, hashes, table)
+            except KVCapacityError:
+                pass
+            else:
+                raise AssertionError("an over-capacity registration was accepted")
+            assert table == BlockTable()
+            assert store_state(self.store) == before
 
     @rule(num_tokens=st.integers(1, 3 * BLOCK_TOKENS + 1))
     def register_private(self, num_tokens):

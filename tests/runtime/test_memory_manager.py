@@ -67,6 +67,31 @@ def test_reset_clears_all_allocations():
     assert pool.free_pages == 4
 
 
+def test_lazy_free_list_keeps_page_order_errors_and_reset():
+    """The free list is built on first use, with the eager list's order:
+    pages go out lowest first and freed pages are reused last-in first-out;
+    double frees still raise, before and after the first allocation."""
+    pool = MemoryPool(name="p", capacity_bytes=600, page_bytes=100)
+    assert pool._free is None
+    pool.reserve(2)
+    assert pool._free is None
+    assert pool.free_pages == 4
+    first = pool.allocate(200)
+    second = pool.allocate(100)
+    assert (first.pages, second.pages) == ((0, 1), (2,))
+    pool.free(first)
+    assert pool.allocate(100).pages == (1,)
+    assert pool.free_pages == 2
+    with pytest.raises(MemoryManagerError, match="double free"):
+        pool.free(first)
+    pool.reset()
+    assert pool._free is None
+    assert pool.free_pages == 6
+    with pytest.raises(MemoryManagerError, match="double free"):
+        pool.free(second)
+    assert pool.allocate(300).pages == (0, 1, 2)
+
+
 def test_zero_byte_allocation_uses_no_pages():
     pool = MemoryPool(name="p", capacity_bytes=400, page_bytes=100)
     allocation = pool.allocate(0)

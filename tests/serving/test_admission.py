@@ -78,6 +78,69 @@ class TestKVBoundary:
         assert admission.live_requests == 0
         assert admission.admitted_count == 0
 
+    def test_refused_admit_checked_changes_nothing(self, mixtral, t4_node, policy):
+        """A request waiting at the head of the queue is no rejection."""
+        admission = controller_with_budget(mixtral, t4_node, policy, num_requests=1)
+        assert admission.admit_checked(make_request())
+        waiting = make_request()
+        before = admission.utilization()
+        assert not admission.admit_checked(waiting)
+        assert admission.utilization() == before
+        assert (admission.admitted_count, admission.rejected_kv_count) == (1, 0)
+        decision = admission.admit(waiting)
+        assert not decision.admitted
+        assert "KV cache" in decision.reason
+        assert admission.rejected_kv_count == 1
+
+    def test_refused_registration_keeps_a_matched_prefix_in_place(
+        self, mixtral, t4_node, policy
+    ):
+        """A KV-full admission whose prompt matches cached blocks leaves
+        them where they were: same LRU position, stamps and touch times."""
+        bytes_per_token = (
+            kv_cache_bytes_per_token_per_layer(mixtral) * mixtral.num_layers
+        )
+        admission = AdmissionController(
+            model=mixtral,
+            hardware=t4_node,
+            workload=uniform_workload(prompt_len=PROMPT, generation_len=GEN),
+            policy=policy,
+            block_tokens=BLOCK_TOKENS,
+            cpu_kv_budget_bytes=3 * BLOCK_TOKENS * bytes_per_token,
+            prefix_cache=True,
+        )
+        prompt = tuple(range(2 * BLOCK_TOKENS))
+
+        def chat_request(gen):
+            request = Request(input_len=len(prompt), generation_len=gen, token_ids=prompt)
+            return ServingRequest(request=request, arrival_time=0.0)
+
+        first = chat_request(GEN)
+        assert admission.admit(first).admitted  # two hashed blocks + one private
+        admission.release(first)
+        assert admission.admit(make_request(prompt=8, gen=8)).admitted
+        store = admission.kv_cache.block_store
+
+        def state():
+            return (
+                list(store._refs),
+                list(store._stamps),
+                list(store._touch_time),
+                list(store._lru),
+                store._num_cached,
+                store._stamp,
+                store.version,
+                store.cpu_pool.free_pages,
+            )
+
+        before = state()
+        store.clock_time = 5.0
+        again = chat_request(2 * GEN)  # matches the first block, needs 3 more
+        assert admission.match_prefix(again.request) == BLOCK_TOKENS
+        assert not admission.admit_checked(again)
+        assert state() == before
+        assert again.tokens_cached == 0
+
 
 class TestSlotCap:
     def test_batch_size_caps_live_requests(self, mixtral, t4_node, policy):
@@ -126,7 +189,7 @@ class TestBudgetDerivation:
 def test_admit_of_a_token_id_request_probes_the_index_once(
     mixtral, t4_node, policy, monkeypatch
 ):
-    """The capacity check and the registration share one prefix probe."""
+    """The registration is the capacity check: one prefix probe per admit."""
     from repro.runtime.block_store import SharedBlockStore
 
     admission = AdmissionController(

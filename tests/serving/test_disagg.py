@@ -11,6 +11,8 @@ Covers the PR's acceptance criteria at tier 1:
   fast-prefill cluster beats the same-count all-slow split.
 """
 
+import random
+
 import pytest
 
 from repro.cluster.spec import ClusterSpec, DeviceSpec
@@ -268,6 +270,55 @@ class TestPhaseRouter:
     def test_empty_pool_rejected(self):
         with pytest.raises(ConfigurationError, match="prefill"):
             PhaseRouter([], [1], prefill_speeds=[1.0])
+
+    def test_one_pass_picks_match_the_min_key_form(self):
+        """20k random cases: the routing passes pick what ``min`` over the
+        eligible shards with the original tuple keys picks, cold pools
+        included, with many ties in speed, load, headroom and readiness."""
+
+        def eligible(router, shards, now):
+            if router.ready_at is None:
+                return list(shards)
+            ready = [s for s in shards if router.ready_at[s] <= now]
+            return ready or [min(shards, key=lambda s: (router.ready_at[s], s))]
+
+        rng = random.Random(20)
+        for _ in range(20_000):
+            num_shards = rng.randint(2, 7)
+            shards = list(range(num_shards))
+            rng.shuffle(shards)
+            cut = rng.randint(1, num_shards - 1)
+            prefill, decode = shards[:cut], shards[cut:]
+            speeds = [rng.choice([0.5, 1.0, 2.0, 3.0]) for _ in range(num_shards)]
+            ready_at = rng.choice(
+                [None, [rng.choice([0.0, 5.0, 10.0]) for _ in range(num_shards)]]
+            )
+            router = PhaseRouter(prefill, decode, speeds, ready_at=ready_at)
+            for shard in prefill:
+                router.outstanding_tokens[shard] = rng.choice([0, 7, 10, 30])
+            loads = [rng.randint(0, 2) for _ in range(num_shards)]
+            headrooms = [rng.choice([0, 16, 64]) for _ in range(num_shards)]
+            now = rng.choice([0.0, 5.0, 10.0])
+            prompt = rng.choice([3, 10, 20])
+
+            class _Req:
+                class request:
+                    effective_input_len = prompt
+
+                arrival_time = now
+
+            outstanding = dict(router.outstanding_tokens)
+            expected = min(
+                eligible(router, prefill, now),
+                key=lambda s: ((outstanding[s] + prompt) / speeds[s], loads[s], s),
+            )
+            assert router.route_prefill(_Req(), loads) == expected
+            assert router.outstanding_tokens[expected] == outstanding[expected] + prompt
+            expected = min(
+                eligible(router, decode, now),
+                key=lambda s: (-headrooms[s], loads[s], s),
+            )
+            assert router.route_decode(headrooms, loads, now) == expected
 
 
 class TestDisaggSweepAcceptance:

@@ -133,6 +133,10 @@ class TestChatWorkload:
 # ----------------------------------------------------------------------
 # Columnar generation (the streaming hot path)
 # ----------------------------------------------------------------------
+def rows(requests):
+    return [(r.input_len, r.generation_len, r.session_id) for r in requests]
+
+
 class TestColumnarGeneration:
     """The vectorised generator must match the object path value-for-value."""
 
@@ -144,11 +148,8 @@ class TestColumnarGeneration:
                 objects = generate_requests(spec, seed=seed)
                 columns = generate_request_columns(spec, seed=seed)
                 assert len(columns) == len(objects)
-                assert columns.input_lens.tolist() == [r.input_len for r in objects]
-                assert columns.generation_lens.tolist() == [
-                    r.generation_len for r in objects
-                ]
-                assert columns.session_ids is None
+                assert rows(columns.materialize()) == rows(objects)
+                assert columns.num_sessions is None
 
     def test_matches_object_path_on_chat(self):
         from repro.workloads import chat
@@ -157,11 +158,7 @@ class TestColumnarGeneration:
         spec = chat(generation_len=8, num_requests=50, turns_per_session=3)
         objects = generate_requests(spec, seed=3)
         columns = generate_request_columns(spec, seed=3)
-        assert columns.input_lens.tolist() == [r.input_len for r in objects]
-        assert columns.session_ids.tolist() == [r.session_id for r in objects]
-        assert columns.generation_lens.tolist() == [
-            r.generation_len for r in objects
-        ]
+        assert rows(columns.materialize()) == rows(objects)
 
     def test_materialize_round_trips_lazily(self):
         from repro.workloads.generators import generate_request_columns
@@ -175,10 +172,33 @@ class TestColumnarGeneration:
         # use the object generators instead).
         assert all(r.token_ids is None for r in eager)
 
+    def test_streams_across_column_chunks(self):
+        """Streams several column chunks long yield every row once, in
+        order, as Python ints; chunked arrival times are the one-shot
+        draw's floats, on the eager and the lazy path alike."""
+        from repro.serving import GammaProcess, PoissonProcess
+        from repro.workloads import chat
+        from repro.workloads.generators import STREAM_CHUNK, generate_request_columns
+
+        count = 2 * STREAM_CHUNK + 1
+        spec = chat(generation_len=8, num_requests=count, turns_per_session=3)
+        lazy = generate_request_columns(spec, seed=3).materialize()
+        assert rows(lazy) == rows(generate_requests(spec, seed=3))
+        assert all(type(value) is int for value in rows(lazy)[-1])
+        spec = mtbench(num_requests=count)
+        for process in (PoissonProcess(5.0), GammaProcess(5.0, cv=2.0)):
+            one_shot = process.arrival_times(count, np.random.default_rng([3, 0xA221]))
+            eager = process.generate(spec, seed=3)
+            streamed = list(process.generate_lazy(spec, seed=3))
+            assert [t.arrival_time for t in eager] == one_shot.tolist()
+            assert [(t.arrival_time, t.request.input_len) for t in streamed] == [
+                (t.arrival_time, t.request.input_len) for t in eager
+            ]
+
     def test_count_override_and_forced_max(self):
         from repro.workloads.generators import generate_request_columns
 
         spec = mtbench(num_requests=1000)
         columns = generate_request_columns(spec, count=17, seed=0)
         assert len(columns) == 17
-        assert int(columns.input_lens.max()) == spec.max_prompt_len
+        assert int(columns.lengths.max()) == spec.max_prompt_len
