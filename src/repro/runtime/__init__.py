@@ -21,9 +21,9 @@ engine.  This package provides the substrate those schedules execute on:
 * :mod:`repro.runtime.kv_cache` — a paged KV cache with per-request block
   tables split across CPU and GPU pools.
 * :mod:`repro.runtime.block_store` — the block store behind it:
-  reference-counted, content-hash-chained prompt blocks shared through the
-  prefix cache with LRU eviction of unreferenced cache, and one counted
-  private run per sequence for everything else.
+  content-hash-chained prompt blocks held in reference-counted segments,
+  shared through the prefix cache with LRU eviction of unreferenced cache,
+  and one counted private run per sequence for everything else.
 * :mod:`repro.runtime.costs` — task-duration model derived from the same
   operator FLOP/byte counts the analytical performance model uses.
 """
@@ -34,7 +34,7 @@ from repro.runtime.simulator import SimulationResult, Simulator
 from repro.runtime.trace import Trace, TraceEvent
 from repro.runtime.memory_manager import MemoryPool, PageTable, PagedAllocation
 from repro.runtime.weights import PagedWeightManager, WeightPage
-from repro.runtime.block_store import BlockTable, KVBlock, SharedBlockStore
+from repro.runtime.block_store import BlockTable, KVBlock, PrefixMatch, SharedBlockStore
 from repro.runtime.kv_cache import KVCacheManager, SequenceCache
 from repro.runtime.costs import TaskCostModel
 
@@ -56,6 +56,7 @@ __all__ = [
     "WeightPage",
     "BlockTable",
     "KVBlock",
+    "PrefixMatch",
     "SharedBlockStore",
     "KVCacheManager",
     "SequenceCache",

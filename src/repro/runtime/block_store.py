@@ -1,57 +1,59 @@
-"""Reference-counted KV block store with prefix caching and private runs.
+"""Reference-counted KV block store: prefix-cache segments and private runs.
 
 MoE-Lightning keeps the KV cache in fixed-size pages.  This store divides
 it into **blocks** of ``block_tokens`` token positions (all layers of one
 block stored together), each charged the same whole pages on the CPU and
 GPU pools, and backs every :class:`~repro.runtime.kv_cache.KVCacheManager`
-with the prefix cache on or off.  A sequence's :class:`BlockTable` holds
-two kinds of block:
+with the prefix cache on or off.  A sequence's :class:`BlockTable` holds:
 
-* **hashed blocks** — a *full* prompt block whose content is a pure
-  function of the token prefix it holds carries a **chained content hash**
-  (its tokens mixed into the previous block's hash), so two sequences with
-  the same prompt prefix map to the *same physical block*, in the style of
-  vLLM's prefix caching / SGLang's RadixAttention.  Hashed blocks live in
-  slot columns with ids, are **reference counted**, are charged once however
-  many sequences share them, and become evictable — not freed — when their
-  refcount drops to zero.  Refcount-zero hashed blocks form the **prefix
-  cache**, reclaimed in LRU order only when an allocation needs their pages
-  (or by the TTL and crash sweeps);
-* one **private run** — every other block the sequence holds: its partial
-  prompt tail, full blocks whose hash another block already owns, and every
-  reserved generation block.  Nothing can ever match them, so they take no
-  slots and no ids: the run is a block count plus the fill of its last
-  block, charged with one page reservation per pool and returned with one.
+* **hashed blocks** — a *full* prompt block carries a **chained content
+  hash** (its tokens mixed into the previous block's hash), so sequences
+  with the same prompt prefix share the *same physical block*, charged
+  once, as in vLLM's prefix caching (Kwon et al., arXiv:2309.06180).
+  They are held in **segments**, as in SGLang's RadixAttention (Zheng et
+  al., arXiv:2312.07104): a contiguous run of chain positions placed by
+  one registration, with one refcount, one cache-entry time and one place
+  in LRU order.  A match that ends inside a segment splits it, so the
+  refcount is uniform inside each one.  At refcount zero a segment joins
+  the **prefix cache**: evictable, reclaimed in LRU order only when an
+  allocation needs its pages (or by the TTL and crash sweeps);
+* one **private run** — every other block: the partial prompt tail, full
+  blocks whose hash another block already owns, and every reserved
+  generation block.  Nothing can match them, so the run is a block count
+  plus the fill of its last block, charged and returned with one page
+  reservation per pool.  Only the run grows, so shared blocks are never
+  written.  With the prefix cache off each sequence is one private run.
 
-Only private runs grow: an append fills the run's tail block, then spills
-into fresh private blocks.  Shared blocks are full and never written, so
-nothing needs copy-on-write.  With the prefix cache off nothing is hashed,
-and each sequence is a single private run.
+A table reaches its segments through **links** ``(segment, blocks)``: a
+split keeps the head in the original segment and chains the tail behind it
+(``segment.next``), so a split never rewrites a table.  The content index
+maps every resident block's hash to its segment, so routers probe it by
+membership, and a match compares a whole segment's hashes with the chain
+at once: registration, release and matching cost O(segments).
 
-Eviction interleaves with allocation exactly as block-at-a-time allocation
-would: the first blocks of a registration take free pages, and each later
-block, hashed or private, evicts one LRU victim just before it is placed.
-A victim holding a hash the registration is about to claim is therefore
-gone exactly when that block arrives, and not earlier.  A release stamps
-each newly cached block from a counter that only grows, so the LRU order
-is a FIFO queue; an entry whose block was re-acquired or freed since it
-was queued is skipped when it reaches the head.
+Eviction order is block-at-a-time LRU.  A registration's first blocks take
+free pages, and each later block, hashed or private, evicts one LRU block
+just before it is placed, so a victim owning a hash the registration is
+about to claim leaves exactly when that block arrives.  A release stamps
+newly cached blocks in table order from a counter that only grows, so LRU
+eviction eats the oldest segment from its head, one block at a time;
+blocks whose chain parent was evicted stay indexed (orphaned tails).
 
-Invariants (property-tested in ``tests/properties``):
-
-* a refcount is never negative;
-* pool pages in use equal hashed blocks plus live private blocks, each
-  charged once — sharers are never double counted;
-* eviction only ever selects hashed blocks with a zero refcount;
-* with no matching prefixes every block is private and returns to the
-  pools as soon as its one owner releases it.
+Invariants (property-tested in ``tests/properties``): refcounts are never
+negative; pool pages in use equal hashed blocks plus live private blocks,
+each charged once; eviction only selects refcount-zero blocks.  The hashes
+of one chain are distinct, as chained hashes are (equal hashes mean equal
+whole prefixes), and a hashed block's id is its hash.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
+from math import inf
 from typing import Iterable, Sequence
 
 from repro.runtime.memory_manager import MemoryPool
@@ -63,10 +65,12 @@ from repro.utils.validation import require_positive, require_positive_int
 _HASH_MULTIPLIER = 1000003
 _HASH_MODULUS = 2**64
 
+#: Consume an iterator at C speed; make a list subclass without ``__init__``.
+_exhaust = deque(maxlen=0).extend
+_new_list = list.__new__
 
-def chain_block_hashes(
-    token_ids: Sequence[int], block_tokens: int
-) -> list[int]:
+
+def chain_block_hashes(token_ids: Sequence[int], block_tokens: int) -> list[int]:
     """Chained content hashes of every *full* block of ``token_ids``.
 
     Hash ``i`` covers tokens ``[0, (i + 1) * block_tokens)``: it mixes block
@@ -79,9 +83,7 @@ def chain_block_hashes(
 
 
 @lru_cache(maxsize=8192)
-def _chain_block_hashes_cached(
-    token_ids: tuple[int, ...], block_tokens: int
-) -> tuple[int, ...]:
+def _chain_block_hashes_cached(token_ids: tuple[int, ...], block_tokens: int) -> tuple[int, ...]:
     """Memoised hashing: one admission hashes the same prompt several times
     (capacity check, registration, per-shard routing probes)."""
     hashes: list[int] = []
@@ -95,46 +97,86 @@ def _chain_block_hashes_cached(
     return tuple(hashes)
 
 
-#: A block id is ``generation << _SLOT_BITS | slot``: the low bits index the
-#: store's slot columns, the high bits count how often the slot was reused,
-#: so an id outlives neither its release nor its eviction.
-_SLOT_BITS = 32
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
-_NEXT_GENERATION = 1 << _SLOT_BITS
+class _Segment:
+    """Hashed blocks ``hashes[lo:hi]``, placed together, sharing one refcount.
+
+    ``stamp`` is block ``lo``'s release stamp (the next blocks follow it),
+    ``touch`` when the segment last entered the cache and ``key`` its live
+    LRU entry; ``next`` is the segment split off this one's tail.
+    """
+
+    __slots__ = ("hashes", "lo", "hi", "refs", "touch", "stamp", "key", "next")
+
+    def __init__(self, hashes: tuple[int, ...], lo: int, hi: int) -> None:
+        self.hashes = hashes
+        self.lo = lo
+        self.hi = hi
+        self.refs = 1
+        self.touch = 0.0
+        self.stamp = 0
+        self.key = -1
+        self.next: _Segment | None = None
 
 
-@dataclass
+class PrefixMatch(list):
+    """A chain's resident prefix: its ``(segment, start, stop)`` spans in
+    chain order, ``blocks`` blocks in all, ``cached`` of them refcount zero
+    (valid until the store next changes)."""
+
+    __slots__ = ("blocks", "cached")
+
+    def __init__(self, spans: Iterable = (), blocks: int = 0, cached: int = 0) -> None:
+        super().__init__(spans)
+        self.blocks = blocks
+        self.cached = cached
+
+    @property
+    def block_ids(self) -> list[int]:
+        """The matched block ids (their hashes), in chain order."""
+        return [h for segment, start, stop in self for h in segment.hashes[start:stop]]
+
+
+@dataclass(slots=True)
 class BlockTable:
     """One sequence's view into the store.
 
-    ``block_ids`` are its hashed blocks in order (shared or shareable);
-    ``private_blocks`` counts its private run and ``tail_tokens`` is the
-    fill of the run's last block.
+    ``links`` reach its hashed blocks in order, as ``(segment, blocks)``
+    pairs that walk ``segment.next``; ``private_blocks`` counts its private
+    run and ``tail_tokens`` is the fill of the run's last block.
     """
 
-    block_ids: list[int] = field(default_factory=list)
+    links: list[tuple[_Segment, int]] = field(default_factory=list)
     private_blocks: int = 0
     tail_tokens: int = 0
 
     def __len__(self) -> int:
-        return len(self.block_ids) + self.private_blocks
+        return sum(blocks for _, blocks in self.links) + self.private_blocks
+
+    @property
+    def block_ids(self) -> list[int]:
+        """The hashed block ids (their hashes), in table order."""
+        ids: list[int] = []
+        for segment, blocks in self.links:
+            while blocks > 0:
+                ids.extend(segment.hashes[segment.lo : segment.hi])
+                blocks -= segment.hi - segment.lo
+                segment = segment.next
+        return ids
 
 
 @dataclass(frozen=True, slots=True)
 class KVBlock:
-    """Read-only snapshot of one resident hashed block (introspection only).
+    """Read-only snapshot of one resident hashed block (introspection only),
+    assembled from its segment by :meth:`SharedBlockStore.block`."""
 
-    The store keeps no per-block objects; :meth:`SharedBlockStore.block`
-    assembles this view from its slot columns on demand.
-    """
-
+    #: A hashed block's id is its chained hash (no other resident block's).
     block_id: int
     ref_count: int
     block_hash: int
-    #: Whether the block sits in the reusable cache (refcount zero,
-    #: retained for prefix matching).
+    #: Whether the block sits in the reusable cache (refcount zero).
     cached: bool
-    #: Simulated instant the block last entered the cache (idleness start).
+    #: Simulated instant the block last entered the cache (idleness start;
+    #: 0.0 for a block never cached).
     last_touch_time: float
     #: Bytes charged for this block (page-rounded), per pool.
     cpu_bytes: float
@@ -142,17 +184,12 @@ class KVBlock:
 
 
 class SharedBlockStore:
-    """Ref-counted hashed blocks and counted private runs over two pools.
+    """Ref-counted hashed segments and counted private runs over two pools.
 
     ``block_bytes`` is the full KV footprint of one block across all layers;
     ``gpu_ratio`` splits every block between the pools as the policy's
-    ``r_c`` splits the KV cache.
-
-    Hashed blocks live in parallel slot columns (refcount, content hash,
-    cache-entry time, release stamp, id) that grow on demand and recycle
-    freed slots through a stack; a resident block is cached exactly when
-    its refcount is zero.  Every block charges the same
-    pages, so the pools only count them (:meth:`MemoryPool.reserve`).
+    ``r_c`` splits the KV cache.  Every block charges the same pages, so the
+    pools only count them (:meth:`MemoryPool.reserve`).
     """
 
     def __init__(
@@ -166,9 +203,7 @@ class SharedBlockStore:
         require_positive("block_bytes", block_bytes)
         require_positive_int("block_tokens", block_tokens)
         if gpu_ratio > 0 and gpu_pool is None:
-            raise MemoryManagerError(
-                "gpu_ratio > 0 requires a GPU memory pool for the block store"
-            )
+            raise MemoryManagerError("gpu_ratio > 0 requires a GPU memory pool for the block store")
         self.cpu_pool = cpu_pool
         self.gpu_pool = gpu_pool
         self.gpu_ratio = min(1.0, gpu_ratio)
@@ -177,12 +212,8 @@ class SharedBlockStore:
         # Every block charges the same byte split and hence the same page
         # counts (zero for a pool the split does not touch).
         gpu_block_bytes = self.block_bytes * self.gpu_ratio
-        self._block_cpu_pages = cpu_pool.pages_needed(
-            self.block_bytes - gpu_block_bytes
-        )
-        self._block_gpu_pages = (
-            gpu_pool.pages_needed(gpu_block_bytes) if gpu_pool is not None else 0
-        )
+        self._block_cpu_pages = cpu_pool.pages_needed(self.block_bytes - gpu_block_bytes)
+        self._block_gpu_pages = gpu_pool.pages_needed(gpu_block_bytes) if gpu_pool else 0
         #: ``(pool, pages per block)`` for each pool a block charges.
         self._charges = tuple(
             (pool, pages)
@@ -192,16 +223,8 @@ class SharedBlockStore:
             )
             if pages
         )
-        # Slot columns.  ``_ids[slot]`` is the id the slot answers to; a
-        # free slot holds its last id complemented (negative), so the next
-        # tenant's generation follows from it and no live id matches.
-        self._refs: list[int] = []
-        self._hashes: list[int | None] = []
-        self._touch_time: list[float] = []
-        self._stamps: list[int] = []
-        self._ids: list[int] = []
-        self._free_slots: list[int] = []
-        self._hash_index: dict[int, int] = {}
+        #: Chained block hash -> the segment holding that resident block.
+        self._hash_index: dict[int, _Segment] = {}
         self._private_blocks = 0
         self._num_cached = 0
         self._stamp = 0
@@ -212,15 +235,11 @@ class SharedBlockStore:
         #: the store; only consulted by TTL eviction, so stores driven
         #: without a clock behave exactly as before.
         self.clock_time = 0.0
-        #: Bumped on every content-index mutation (block registered or
-        #: evicted): a prefix match memoised against it can never survive
-        #: an index change.
-        self.version = 0
-        # LRU order with lazy deletion: ``(stamp, slot)`` is queued when a
-        # block enters the cache.  Stamps only grow, so the queue is in LRU
-        # order, and an entry is live exactly when its slot is still cached
-        # at that stamp; anything else is skipped at the head.
-        self._lru: deque[tuple[int, int]] = deque()
+        # LRU order with lazy deletion: ``(stamp, segment)`` is queued when a
+        # segment enters the cache (a cached segment's split-off tail is
+        # inserted at its place), so the queue is in block stamp order.  An
+        # entry is live while its segment is cached under that key.
+        self._lru: deque[tuple[int, _Segment]] = deque()
 
     # ------------------------------------------------------------------
     # Introspection / accounting
@@ -228,7 +247,7 @@ class SharedBlockStore:
     @property
     def num_blocks(self) -> int:
         """Resident blocks: hashed (referenced or cached) plus private."""
-        return len(self._ids) - len(self._free_slots) + self._private_blocks
+        return len(self._hash_index) + self._private_blocks
 
     @property
     def num_private_blocks(self) -> int:
@@ -242,57 +261,48 @@ class SharedBlockStore:
 
     def __contains__(self, block_id: int) -> bool:
         """Whether ``block_id`` names a resident hashed block."""
-        slot = block_id & _SLOT_MASK
-        return slot < len(self._ids) and self._ids[slot] == block_id
+        return block_id in self._hash_index
 
     def block(self, block_id: int) -> KVBlock:
         """A snapshot of one resident hashed block."""
-        if block_id not in self:
-            raise MemoryManagerError(f"unknown block {block_id}")
-        slot = block_id & _SLOT_MASK
+        segment, position, _ = self._locate(block_id)
         gpu_pool = self.gpu_pool
         return KVBlock(
-            block_id=block_id,
-            ref_count=self._refs[slot],
-            block_hash=self._hashes[slot],
-            cached=self._refs[slot] == 0,
-            last_touch_time=self._touch_time[slot],
+            block_id=segment.hashes[position],
+            ref_count=segment.refs,
+            block_hash=segment.hashes[position],
+            cached=segment.refs == 0,
+            last_touch_time=segment.touch,
             cpu_bytes=self._block_cpu_pages * self.cpu_pool.page_bytes,
-            gpu_bytes=(
-                self._block_gpu_pages * gpu_pool.page_bytes if gpu_pool else 0.0
-            ),
+            gpu_bytes=self._block_gpu_pages * gpu_pool.page_bytes if gpu_pool else 0.0,
         )
 
     def resident_blocks(self) -> list[KVBlock]:
-        """Snapshots of every resident hashed block, in slot order."""
-        return [self.block(block_id) for block_id in self._ids if block_id >= 0]
+        """Snapshots of every resident hashed block, in index order."""
+        return [self.block(block_id) for block_id in self._hash_index]
+
+    def _locate(self, block_id: int) -> tuple[_Segment, int, int]:
+        """A resident hashed block's span ``(segment, position, position + 1)``."""
+        segment = self._hash_index.get(block_id)
+        if segment is None:
+            raise MemoryManagerError(f"unknown block {block_id}")
+        position = segment.hashes.index(block_id, segment.lo, segment.hi)
+        return segment, position, position + 1
 
     def bytes_in_use(self, live_only: bool = False) -> tuple[float, float]:
-        """(cpu, gpu) bytes charged across unique resident blocks.
-
-        ``live_only`` leaves out cached (refcount-zero) blocks; either way
-        each block is counted exactly once no matter how many sequences
-        share it.  Every block charges the same whole pages, so block counts
-        reproduce the per-block byte sum exactly.
-        """
+        """(cpu, gpu) bytes charged across unique resident blocks, each once
+        however many sequences share it; ``live_only`` leaves out cached
+        (refcount-zero) blocks."""
         blocks = self.num_blocks
         if live_only:
             blocks -= self._num_cached
         cpu = blocks * self._block_cpu_pages * self.cpu_pool.page_bytes
-        gpu = (
-            blocks * self._block_gpu_pages * self.gpu_pool.page_bytes
-            if self.gpu_pool
-            else 0.0
-        )
+        gpu = blocks * self._block_gpu_pages * self.gpu_pool.page_bytes if self.gpu_pool else 0.0
         return cpu, gpu
 
     def occupancy(self) -> dict[str, float]:
-        """Point-in-time occupancy snapshot (the telemetry sampler's view).
-
-        ``blocks``/``cached_blocks`` count resident and reusable (refcount
-        zero) blocks; byte totals count each unique block once, with the
-        ``live_*`` pair restricted to referenced blocks.
-        """
+        """Point-in-time occupancy snapshot (the telemetry sampler's view):
+        resident and cached block counts, and bytes in use in all and live."""
         cpu_bytes, gpu_bytes = self.bytes_in_use()
         live_cpu, live_gpu = self.bytes_in_use(live_only=True)
         return {
@@ -314,157 +324,157 @@ class SharedBlockStore:
         return fit
 
     def allocatable_blocks(self) -> int:
-        """Fresh blocks allocatable right now, counting evictable cache.
-
-        The capacity half of :meth:`can_allocate_blocks` as a count instead
-        of a verdict: how many blocks could be carved out of free pages plus
-        everything LRU eviction could reclaim.  Routers use this as a KV
-        headroom signal, so it runs in O(1).
-        """
+        """Fresh blocks allocatable right now: free pages plus everything
+        LRU eviction could reclaim (the routers' O(1) KV headroom signal)."""
         return self._free_fit() + self._num_cached
 
-    def can_allocate_blocks(
-        self, num_blocks: int, reserved_block_ids: Iterable[int] = ()
-    ) -> bool:
-        """Whether ``num_blocks`` fresh blocks could be carved out right now.
-
-        Counts both free pages and the pages eviction could reclaim, minus
-        the cached blocks in ``reserved_block_ids`` (a prefix match about to
-        be acquired must not be double-counted as reclaimable).  Runs in
-        O(1) when free pages suffice and in O(reserved) otherwise — this
-        sits on the admission hot path, once per arrival.
-        """
-        fit = self._free_fit()
-        if num_blocks <= fit:
-            return True
-        ids = self._ids
-        refs = self._refs
-        reserved_cached = 0
-        for block_id in set(reserved_block_ids):
-            slot = block_id & _SLOT_MASK
-            if slot < len(ids) and ids[slot] == block_id and not refs[slot]:
-                reserved_cached += 1
-        return num_blocks <= fit + self._num_cached - reserved_cached
+    def can_allocate_blocks(self, num_blocks: int, reserved_cached: int = 0) -> bool:
+        """Whether ``num_blocks`` fresh blocks fit in free pages plus evictable
+        cache, less the ``reserved_cached`` cached blocks a prefix match is
+        about to pin (:attr:`PrefixMatch.cached`).  O(1)."""
+        return num_blocks <= self.allocatable_blocks() - reserved_cached
 
     # ------------------------------------------------------------------
     # Prefix matching
     # ------------------------------------------------------------------
-    def match_prefix(self, token_ids: Sequence[int]) -> list[int]:
-        """Resident block ids matching the longest cached prefix of a prompt.
+    def match_prefix(self, token_ids: Sequence[int]) -> PrefixMatch:
+        """The resident blocks matching the longest cached prefix of a prompt.
 
         Only consecutive leading matches count (block ``i + 1`` can never be
         reused under a differing block ``i`` — its chained hash differs), and
         the match is capped one token short of the full prompt so prefill
         always has at least one token left to compute the first logits from.
         """
-        if not token_ids:
-            return []
-        return self.match_prefix_hashes(
-            chain_block_hashes(token_ids, self.block_tokens),
-            len(token_ids) - 1,
-        )
+        chain = chain_block_hashes(token_ids, self.block_tokens)
+        return self.match_prefix_hashes(chain, len(token_ids) - 1)
 
     @property
-    def prefix_index(self) -> dict[int, int]:
-        """The live content index (chained block hash -> resident block id).
+    def prefix_index(self) -> dict[int, _Segment]:
+        """The live content index (chained block hash -> its segment).
 
-        Exposed for read-only probing: routers that fan one prompt's hash
-        chain across many shards walk this directly instead of paying a
-        method call per shard.  Membership here is exactly what
-        :meth:`match_prefix_hashes` tests, so ``hash in prefix_index`` per
-        chain position reproduces its match depth.  Callers must never
-        mutate it.
+        Read-only: routers fanning one prompt's chain across many shards
+        probe it directly.  ``hash in prefix_index`` per chain position
+        reproduces :meth:`match_prefix_hashes`'s depth.
         """
         return self._hash_index
 
     def match_prefix_hashes(
         self, block_hashes: Sequence[int], matchable_tokens: int
-    ) -> list[int]:
+    ) -> PrefixMatch:
         """:meth:`match_prefix` over pre-computed chained block hashes.
 
-        Routers probing many shards hash the prompt once and probe each
-        shard's index with this, instead of re-hashing per shard.
-        ``matchable_tokens`` carries :meth:`match_prefix`'s cap of one
-        token short of the full prompt — the match depends on the prompt
-        length, not just its hashes.
+        ``matchable_tokens`` carries :meth:`match_prefix`'s cap of one token
+        short of the full prompt (the match depends on the prompt length, not
+        just its hashes).  Each segment reached is compared with the chain as
+        one slice, by its two ends.
         """
-        matched: list[int] = []
-        # Block ``n`` matches only if ``(n + 1) * block_tokens`` tokens fit
-        # under the cap.
+        # Block ``n`` matches only if ``(n + 1) * block_tokens`` tokens fit.
         limit = matchable_tokens // self.block_tokens
-        if limit <= 0:
-            return matched
+        if limit > len(block_hashes):
+            limit = len(block_hashes)
+        match = _new_list(PrefixMatch)  # skips the Python ``__init__``
+        depth = cached = 0
         lookup = self._hash_index.get
-        for block_hash in block_hashes[:limit]:
-            block_id = lookup(block_hash)
-            if block_id is None:
-                break
-            matched.append(block_id)
-        return matched
+        while depth < limit and (segment := lookup(block_hashes[depth])) is not None:
+            hashes = segment.hashes
+            start = segment.lo
+            stop = segment.hi
+            if stop - start > limit - depth:
+                stop = start + limit - depth
+            # Equal chained hashes mean equal prefixes: a span entered at its
+            # head matches through its last block when that block matches.
+            if (
+                hashes[start] != block_hashes[depth]
+                or hashes[stop - 1] != block_hashes[depth + stop - 1 - start]
+            ):
+                # Enter where the chain does; stop where the two part.
+                start = hashes.index(block_hashes[depth], start, segment.hi)
+                end = min(segment.hi, start + limit - depth)
+                stop = start + 1
+                while stop < end and hashes[stop] == block_hashes[depth + stop - start]:
+                    stop += 1
+            match.append((segment, start, stop))
+            depth += stop - start
+            if not segment.refs:
+                cached += stop - start
+        match.blocks = depth
+        match.cached = cached
+        return match
 
     # ------------------------------------------------------------------
     # Table lifecycle
     # ------------------------------------------------------------------
     def acquire(self, block_id: int) -> None:
-        """Take a reference on a resident block (a prefix-cache hit)."""
-        self.acquire_many((block_id,))
+        """Take a reference on one resident block (a prefix-cache hit)."""
+        self.acquire_many([self._locate(block_id)])
 
-    def acquire_many(self, block_ids: Iterable[int]) -> None:
-        """:meth:`acquire` a whole prefix match (same order, one loop)."""
-        ids = self._ids
-        refs = self._refs
-        for block_id in block_ids:
-            slot = block_id & _SLOT_MASK
-            if slot >= len(ids) or ids[slot] != block_id:
-                raise MemoryManagerError(f"unknown block {block_id}")
-            if not refs[slot]:
-                self._num_cached -= 1
-            refs[slot] += 1
+    def acquire_many(self, spans: Iterable[tuple]) -> list[tuple[_Segment, int]]:
+        """Take a reference on every block of a match's spans; returns their
+        table links.  A span covering part of a segment splits it."""
+        links = []
+        for segment, start, stop in spans:
+            if start != segment.lo or stop != segment.hi:
+                segment = self._isolate(segment, start, stop)
+            if not segment.refs:
+                self._num_cached -= stop - start
+            segment.refs += 1
+            links.append((segment, stop - start))
+        return links
+
+    def _isolate(self, segment: _Segment, start: int, stop: int) -> _Segment:
+        """The segment holding exactly ``start .. stop - 1``, split out."""
+        if not segment.lo <= start < stop <= segment.hi:
+            raise MemoryManagerError(f"blocks {start}..{stop - 1} are not in one segment")
+        if start > segment.lo:
+            segment = self._split(segment, start)
+        if stop < segment.hi:
+            self._split(segment, stop)
+        return segment
+
+    def _split(self, segment: _Segment, at: int) -> _Segment:
+        """Cut ``segment`` before position ``at``; returns the new tail.
+
+        Links into the head walk on to the tail, which keeps its blocks'
+        refcount, cache-entry time, stamps and so its place in LRU order.
+        """
+        tail = _Segment(segment.hashes, at, segment.hi)
+        tail.refs = segment.refs
+        tail.touch = segment.touch
+        tail.stamp = segment.stamp + at - segment.lo
+        tail.next = segment.next
+        segment.next = tail
+        segment.hi = at
+        self._hash_index.update(zip(segment.hashes[at : tail.hi], repeat(tail)))
+        if not tail.refs:
+            tail.key = tail.stamp
+            insort(self._lru, (tail.key, tail))
+        return tail
 
     def register_chain(
-        self,
-        matched_ids: Sequence[int],
-        num_tokens: int,
-        block_hashes: Sequence[int],
-        table: BlockTable,
+        self, matched: PrefixMatch, num_tokens: int, block_hashes: Sequence[int], table: BlockTable
     ) -> int:
         """Register one sequence's prompt (and reservation) in one call.
 
-        Pins the prefix match (``matched_ids``) onto ``table``, then places
-        the remaining ``num_tokens`` minus cached tokens in fresh blocks:
-        every full block still covered by ``block_hashes`` whose hash no
-        resident block owns becomes a hashed block, every other one joins
-        the table's private run.  Returns the cached (matched) token count.
-
-        When the fresh blocks cannot be placed it raises
-        :class:`KVCapacityError` with the store exactly as it was (admission
-        relies on this): the match is unpinned by undoing the acquire, not
-        by a release, which would restamp the blocks most recently used.
+        Pins the prefix match onto ``table``, then places the rest of the
+        ``num_tokens`` in fresh blocks: each run of full blocks covered by
+        ``block_hashes`` whose hashes no resident block owns becomes a
+        segment, every other block joins the private run.  Returns the cached
+        token count.  When the fresh blocks do not fit (the match's cached
+        blocks are not evictable) it raises :class:`KVCapacityError` before
+        changing anything, which admission relies on.
         """
         block_tokens = self.block_tokens
-        block_ids = table.block_ids
-        first = len(matched_ids)
-        if first:
-            self.acquire_many(matched_ids)
-            block_ids.extend(matched_ids)
+        first = matched.blocks
         remaining = num_tokens - first * block_tokens
         if remaining > 0:
-            try:
-                self._grow(
-                    table,
-                    remaining,
-                    block_hashes[first : first + remaining // block_tokens],
-                )
-            except KVCapacityError:
-                if first:
-                    del block_ids[-first:]
-                    refs = self._refs
-                    for block_id in matched_ids:
-                        slot = block_id & _SLOT_MASK
-                        refs[slot] -= 1
-                        if not refs[slot]:
-                            self._num_cached += 1
-                raise
+            self._grow(
+                table,
+                remaining,
+                block_hashes[first : first + remaining // block_tokens],
+                matched if first else None,
+            )
+        elif first:
+            table.links += self.acquire_many(matched)
         return first * block_tokens
 
     def extend_table(self, table: BlockTable, num_tokens: int) -> None:
@@ -481,27 +491,29 @@ class SharedBlockStore:
             table.tail_tokens += num_tokens
 
     def _grow(
-        self,
-        table: BlockTable,
-        num_tokens: int,
-        hashes: Sequence[int],
+        self, table: BlockTable, num_tokens: int, hashes: Sequence[int], matched=None
     ) -> None:
-        """Place ``num_tokens`` fresh tokens in new blocks behind ``table``.
+        """Pin ``matched``, then place ``num_tokens`` fresh tokens behind it.
 
-        Fresh block ``i`` is hashed with ``hashes[i]`` when that hash is
-        not indexed yet; every other block joins the private run.  Blocks
-        are placed in order: while free pages last a block takes them,
-        after that each block evicts one LRU victim just before it is
-        placed.  Feasibility is checked up front, so a failure raises
+        Fresh block ``i`` is hashed with ``hashes[i]`` when no resident
+        block owns it, else it joins the private run.  While free pages last
+        a block takes them; each later one evicts one LRU block just before
+        it is placed.  Feasibility is checked first, so a failure raises
         :class:`KVCapacityError` having changed nothing.
         """
         count = -(-num_tokens // self.block_tokens)
         fresh = self._free_fit()
-        if count > fresh + self._num_cached:
+        evictable = self._num_cached
+        if matched is not None:
+            evictable -= matched.cached
+        if count > fresh + evictable:
             raise KVCapacityError(
-                f"block store: {count} blocks requested but only "
-                f"{fresh} fit in free pages and {self._num_cached} are evictable"
+                f"block store: {count} blocks requested but only {fresh} fit in "
+                f"free pages and {evictable} are evictable"
             )
+        links = table.links
+        if matched is not None:
+            links += self.acquire_many(matched)
         if fresh > count:
             fresh = count
         if fresh:
@@ -509,98 +521,99 @@ class SharedBlockStore:
                 pool.reserve(fresh * pages)
         hashed = len(hashes)
         private = count - hashed
+        # Evictions have run up to position ``done``: each position from
+        # ``fresh`` on evicts one block just before it is placed.
+        done = fresh
         if hashed:
-            private += self._place_hashed(table.block_ids, hashes, fresh)
-        # The private tail sits at positions ``hashed .. count - 1``; every
-        # position past the free pages evicts one victim.
-        for _ in range(count - max(hashed, fresh)):
-            self._free(self._pop_lru())
-            self.evictions += 1
+            if type(hashes) is not tuple:
+                hashes = tuple(hashes)
+            segment = _Segment(hashes, 0, hashed)
+            # Claim every hash no resident block owns.  If none was owned,
+            # none can collide (evictions only shrink the index): one segment.
+            index = self._hash_index
+            indexed = len(index)
+            _exhaust(map(index.setdefault, hashes, repeat(segment)))
+            if len(index) - indexed == hashed:
+                links.append((segment, hashed))
+            else:
+                collisions, done = self._place_around(links, hashes, fresh, segment)
+                private += collisions
+        # No position from ``done`` on can collide, up to the private tail.
+        if count > done:
+            self.evictions += self._drop_lru(count - done)
         if private:
             table.private_blocks += private
             self._private_blocks += private
-            table.tail_tokens = (
-                (num_tokens - 1) % self.block_tokens + 1
-                if count > hashed
-                else self.block_tokens
-            )
+            tail = (num_tokens - 1) % self.block_tokens + 1
+            table.tail_tokens = tail if count > hashed else self.block_tokens
 
-    def _place_hashed(
-        self, block_ids: list[int], hashes: Sequence[int], fresh: int
-    ) -> int:
-        """Place the hashed positions of :meth:`_grow`; returns collisions.
+    def _place_around(self, links: list, hashes: tuple, fresh: int, claim: _Segment):
+        """Place hashed positions some resident blocks own.
 
-        A hash another resident block already owns keeps its incumbent, and
-        the colliding block stays private (counted, not placed).
+        Undoes :meth:`_grow`'s claim and walks the owned positions in order:
+        the victims of every position from ``fresh`` on leave before its
+        check, a hash still owned keeps its incumbent (the block stays
+        private), and the runs between collisions become segments.  Returns
+        the collisions and the position evictions have run up to.
         """
-        refs = self._refs
-        block_hashes = self._hashes
-        ids = self._ids
-        free_slots = self._free_slots
-        hash_index = self._hash_index
-        collisions = 0
-        for position, block_hash in enumerate(hashes):
-            if position >= fresh:
-                # The victim's pages pass to this block.
-                self._free(self._pop_lru())
-                self.evictions += 1
-            if block_hash in hash_index:
+        index = self._hash_index
+        owned = [position for position, h in enumerate(hashes) if index[h] is not claim]
+        _exhaust(map(index.__delitem__, [h for h in hashes if index[h] is claim]))
+        collisions = start = 0
+        done = fresh
+        for position in owned:
+            if position >= done:
+                self.evictions += self._drop_lru(position + 1 - done)
+                done = position + 1
+            if hashes[position] in index:
+                if position > start:
+                    links.append(self._new_segment(hashes, start, position))
                 collisions += 1
-                continue
-            if free_slots:
-                slot = free_slots.pop()
-                block_id = ~ids[slot] + _NEXT_GENERATION
-                ids[slot] = block_id
-                refs[slot] = 1
-                block_hashes[slot] = block_hash
-            else:
-                block_id = len(ids)
-                ids.append(block_id)
-                refs.append(1)
-                block_hashes.append(block_hash)
-                self._touch_time.append(0.0)
-                self._stamps.append(0)
-            hash_index[block_hash] = block_id
-            block_ids.append(block_id)
-        self.version += len(hashes) - collisions
-        return collisions
+                start = position + 1
+        if start < len(hashes):
+            links.append(self._new_segment(hashes, start, len(hashes)))
+        return collisions, done
+
+    def _new_segment(self, hashes: tuple, lo: int, hi: int) -> tuple[_Segment, int]:
+        """Index ``hashes[lo:hi]`` as one new referenced segment; its link."""
+        segment = _Segment(hashes, lo, hi)
+        self._hash_index.update(zip(hashes[lo:hi], repeat(segment)))
+        return segment, hi - lo
 
     def release(self, block_id: int) -> None:
-        """Drop one reference; at refcount zero the block joins the cache."""
-        self.release_many((block_id,))
+        """Drop one reference on one block; at zero it joins the cache."""
+        self.release_many([(self._isolate(*self._locate(block_id)), 1)])
 
-    def release_many(self, block_ids: Iterable[int]) -> None:
-        """Drop one reference on each hashed block, in order.
+    def release_many(self, links: Iterable[tuple[_Segment, int]]) -> None:
+        """Drop one reference on every block a table's links reach, in order.
 
-        A block whose refcount reaches zero is retained as prefix cache,
-        most recently used, until eviction or a sweep frees it.
+        A segment whose refcount reaches zero is retained as prefix cache,
+        most recently used, until eviction or a sweep frees it; its blocks
+        take the next stamps, head first.
         """
-        ids = self._ids
-        refs = self._refs
-        stamps = self._stamps
-        touch_time = self._touch_time
         push = self._lru.append
         now = self.clock_time
         stamp = self._stamp
         newly_cached = 0
         try:
-            for block_id in block_ids:
-                slot = block_id & _SLOT_MASK
-                if slot >= len(ids) or ids[slot] != block_id:
-                    raise MemoryManagerError(f"unknown block {block_id}")
-                count = refs[slot]
-                if count <= 0:
-                    raise MemoryManagerError(
-                        f"refcount underflow: block {block_id} released at "
-                        f"refcount {count}"
-                    )
-                refs[slot] = count - 1
-                if count == 1:
-                    stamp += 1
-                    stamps[slot] = stamp
-                    touch_time[slot] = now
-                    newly_cached += 1
-                    push((stamp, slot))
+            for segment, blocks in links:
+                while blocks > 0:
+                    count = segment.refs
+                    if count <= 0:
+                        block = segment.hashes[segment.lo]
+                        raise MemoryManagerError(
+                            f"refcount underflow: block {block} released at refcount {count}"
+                        )
+                    size = segment.hi - segment.lo
+                    segment.refs = count - 1
+                    if count == 1:
+                        segment.touch = now
+                        segment.stamp = segment.key = stamp
+                        push((stamp, segment))
+                        stamp += size
+                        newly_cached += size
+                    blocks -= size
+                    segment = segment.next
         finally:
             self._stamp = stamp
             self._num_cached += newly_cached
@@ -608,8 +621,8 @@ class SharedBlockStore:
     def release_table(self, table: BlockTable) -> None:
         """Release a sequence's whole table: its hashed blocks through
         :meth:`release_many`, then its private run back to the pools."""
-        if table.block_ids:
-            self.release_many(table.block_ids)
+        if table.links:
+            self.release_many(table.links)
         private = table.private_blocks
         if private > self._private_blocks:
             raise MemoryManagerError(
@@ -622,42 +635,47 @@ class SharedBlockStore:
     # ------------------------------------------------------------------
     # Eviction
     # ------------------------------------------------------------------
-    def _pop_lru(self) -> int | None:
-        """The least-recently-used cached slot, skipping stale entries."""
+    def _drop_lru(self, blocks: float = inf, cutoff: float = inf) -> int:
+        """Free up to ``blocks`` cached blocks in LRU order; returns how many.
+
+        Segments are eaten from their head, and the sweep stops at the first
+        one cached after ``cutoff``.  The pages stay charged: eviction hands
+        them to the blocks being placed, the sweeps return them.
+        """
         lru = self._lru
-        refs = self._refs
-        stamps = self._stamps
-        while lru:
-            stamp, slot = lru.popleft()
-            if stamps[slot] == stamp and not refs[slot]:
-                return slot
-        return None
+        delete = self._hash_index.__delitem__
+        dropped = 0
+        while dropped < blocks and lru:
+            key, segment = lru[0]
+            if segment.key != key or segment.refs:
+                lru.popleft()  # stale entry (re-acquired or freed)
+                continue
+            if segment.touch > cutoff:
+                break
+            lo = segment.lo
+            hi = segment.hi
+            if hi - lo > blocks - dropped:
+                hi = lo + blocks - dropped
+            else:
+                lru.popleft()
+                segment.key = -1
+            _exhaust(map(delete, segment.hashes[lo:hi]))
+            segment.stamp += hi - lo
+            segment.lo = hi
+            dropped += hi - lo
+        self._num_cached -= dropped
+        return dropped
 
     def expire_idle(self, cutoff: float) -> int:
         """Free cached blocks idle since before ``cutoff`` (TTL eviction).
 
-        A chat session that went quiet leaves its whole prefix chain parked
-        in the cache; TTL eviction reclaims those pages ahead of allocation
-        pressure.  Blocks are freed in LRU order off the queue: release
-        stamps are monotone in simulated time, so the queue head is also
-        the oldest block by cache-entry time and the scan stops at the
-        first survivor — O(evicted), not O(cached).  Returns the number of
-        blocks expired (also accumulated on ``ttl_evictions``).
+        A chat session that went quiet leaves its prefix chain parked in the
+        cache; TTL eviction reclaims it ahead of allocation pressure.  Release
+        stamps are monotone in simulated time, so the LRU head is the oldest
+        segment and the scan stops at the first survivor.  Returns the blocks
+        expired (also accumulated on ``ttl_evictions``).
         """
-        expired = 0
-        lru = self._lru
-        refs = self._refs
-        stamps = self._stamps
-        while lru:
-            stamp, slot = lru[0]
-            if stamps[slot] != stamp or refs[slot]:
-                lru.popleft()  # stale entry (re-acquired or freed)
-                continue
-            if self._touch_time[slot] > cutoff:
-                break
-            lru.popleft()
-            self._free(slot)
-            expired += 1
+        expired = self._drop_lru(cutoff=cutoff)
         self._return_pages(expired)
         self.ttl_evictions += expired
         return expired
@@ -665,33 +683,15 @@ class SharedBlockStore:
     def drop_all_cached(self) -> int:
         """Free every cached (refcount-zero) block: crash teardown.
 
-        A crashed shard's prefix cache does not survive the device — after
-        live sequences are released, this sweep frees the remaining cached
-        blocks so the store's resident bytes return to zero and no dangling
-        ``prefix_index`` entries survive.  Counted separately from capacity
-        and TTL evictions (``crash_drops``).  Returns the number of blocks
-        dropped.
+        A crashed shard's prefix cache does not survive the device: after its
+        live sequences are released, this frees the rest, so resident bytes
+        return to zero and no ``prefix_index`` entry dangles.  Returns the
+        blocks dropped (also accumulated on ``crash_drops``).
         """
-        dropped = 0
-        while (slot := self._pop_lru()) is not None:
-            self._free(slot)
-            dropped += 1
+        dropped = self._drop_lru()
         self._return_pages(dropped)
         self.crash_drops += dropped
         return dropped
-
-    def _free(self, slot: int) -> None:
-        """Take a cached slot out of the cache and the index, and free it.
-
-        Its pages stay charged: eviction hands them to the block being
-        placed, and the sweeps return them with :meth:`_return_pages`.
-        """
-        self._num_cached -= 1
-        del self._hash_index[self._hashes[slot]]
-        self._hashes[slot] = None
-        self.version += 1
-        self._ids[slot] = ~self._ids[slot]
-        self._free_slots.append(slot)
 
     def _return_pages(self, num_blocks: int) -> None:
         if num_blocks:

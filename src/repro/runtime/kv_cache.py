@@ -24,7 +24,12 @@ from typing import Sequence
 
 from repro.models.config import ModelConfig
 from repro.models.memory import kv_cache_bytes_per_token_per_layer
-from repro.runtime.block_store import BlockTable, SharedBlockStore, chain_block_hashes
+from repro.runtime.block_store import (
+    BlockTable,
+    PrefixMatch,
+    SharedBlockStore,
+    chain_block_hashes,
+)
 from repro.runtime.memory_manager import MemoryPool
 from repro.utils.errors import MemoryManagerError
 from repro.utils.validation import require_non_negative, require_positive_int
@@ -120,7 +125,7 @@ class KVCacheManager:
         """
         if not self.prefix_cache_enabled or not token_ids:
             return 0
-        return len(self.block_store.match_prefix(token_ids)) * self.block_tokens
+        return self.block_store.match_prefix(token_ids).blocks * self.block_tokens
 
     def match_prefix_hashes(
         self, block_hashes: Sequence[int], matchable_tokens: int
@@ -135,7 +140,7 @@ class KVCacheManager:
         matched = self.block_store.match_prefix_hashes(
             block_hashes, matchable_tokens
         )
-        return len(matched) * self.block_tokens
+        return matched.blocks * self.block_tokens
 
     def _match(
         self,
@@ -143,13 +148,13 @@ class KVCacheManager:
         token_ids: Sequence[int] | None,
         block_hashes: Sequence[int] | None,
         matchable_tokens: int | None,
-    ) -> tuple[Sequence[int], list[int]]:
-        """``(chain, matched block ids)`` for a reservation of ``num_tokens``.
+    ) -> tuple[Sequence[int], PrefixMatch]:
+        """``(chain, prefix match)`` for a reservation of ``num_tokens``.
 
         The chain comes from ``block_hashes`` (with its ``matchable_tokens``
         cap) or is hashed from ``token_ids``.  Blocks beyond the
         reservation are matchable but useless (a shorter re-issue of a
-        longer cached prompt), so the match is cut there.
+        longer cached prompt), so the match is capped there too.
         """
         if block_hashes is None:
             tokens = tuple(token_ids) if token_ids else ()
@@ -157,8 +162,9 @@ class KVCacheManager:
             matchable_tokens = len(tokens) - 1
         elif matchable_tokens is None:
             raise MemoryManagerError("block_hashes requires matchable_tokens")
-        matched = self.block_store.match_prefix_hashes(block_hashes, matchable_tokens)
-        return block_hashes, matched[: num_tokens // self.block_tokens]
+        return block_hashes, self.block_store.match_prefix_hashes(
+            block_hashes, min(matchable_tokens, num_tokens)
+        )
 
     # ------------------------------------------------------------------
     # Sequence lifecycle
@@ -281,5 +287,5 @@ class KVCacheManager:
             return total_blocks <= self.block_store.allocatable_blocks()
         _, matched = self._match(num_tokens, token_ids, block_hashes, matchable_tokens)
         return self.block_store.can_allocate_blocks(
-            total_blocks - len(matched), reserved_block_ids=matched
+            total_blocks - matched.blocks, matched.cached
         )

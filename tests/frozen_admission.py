@@ -11,9 +11,12 @@ side-effect-free capacity check and then a registration that repeated it.
 They are the oracle the one-probe admission path must reproduce exactly;
 do not edit them to follow the library.
 
-Only the frozen methods are copies: the classes inherit everything else
-(block placement, release, eviction, the pools) from the library, so a
-comparison isolates the admission and registration logic.
+Only the frozen methods are copies: the controller and KV manager inherit
+everything else from the library, and the store inherits block placement,
+release and eviction from the frozen per-block store
+(:mod:`tests.frozen_block_store`), whose content-index ``version`` the
+match memo reads.  A comparison through observable state isolates the
+admission and registration logic.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.runtime.block_store import BlockTable, SharedBlockStore, chain_block_hashes
 from repro.runtime.kv_cache import KVCacheManager
 from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.queue import ServingRequest
 from repro.utils.errors import MemoryManagerError
 from repro.utils.validation import require_non_negative, require_positive_int
+from tests.frozen_block_store import BlockTable, SharedBlockStore, chain_block_hashes
 
 
 @dataclass

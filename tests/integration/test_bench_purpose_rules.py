@@ -1,12 +1,14 @@
-"""The benchmark's traced purpose rule for ``short-nocache``, at tier 1.
+"""The benchmark's traced block-store rules, at tier 1.
 
 ``bench/run.py --scale smoke`` skips the purpose checks, so the only run
 that enforces "short-nocache must never call the block store" is a
-full-scale traced one.  This test applies the same rule to one smoke-scale
-traced pass, built and traced through the benchmark's own modules (it
-reads ``bench/`` and changes nothing there), and checks that the tracer
-found every layer function it times except the two block-store methods
-that no longer exist.
+full-scale traced one.  These tests apply that rule to one smoke-scale
+traced ``short-nocache`` pass, and its converse to one smoke-scale traced
+``prefix-hit`` pass (whose requests all go through the prefix cache), both
+built and traced through the benchmark's own modules (they read
+``bench/`` and change nothing there).  Each checks that the tracer found
+every layer function it times except the two block-store methods that no
+longer exist, so a rename that drops the block-store timer fails here.
 """
 
 import time
@@ -29,9 +31,11 @@ def bench_modules(monkeypatch):
     return bench_trace, bench_workloads
 
 
-def test_traced_short_nocache_pass_never_calls_the_block_store(bench_modules, capsys):
+def traced_pass(bench_modules, capsys, workload: str):
+    """``(metrics, requests, timers the tracer could not find)`` of one
+    smoke-scale traced pass of ``workload``."""
     bench_trace, bench_workloads = bench_modules
-    setup = bench_workloads.WORKLOADS["short-nocache"](0, bench_workloads.SMOKE_DIVISOR)
+    setup = bench_workloads.WORKLOADS[workload](0, bench_workloads.SMOKE_DIVISOR)
     tracer = bench_trace.Tracer()
     tracer.install()
     try:
@@ -46,8 +50,20 @@ def test_traced_short_nocache_pass_never_calls_the_block_store(bench_modules, ca
         tracer.harvest()
     finally:
         tracer.uninstall()
-    metrics = tracer.layer_metrics(1, wall)
-    assert result.requests > 0
+    return tracer.layer_metrics(1, wall), result.requests, missing
+
+
+def test_traced_short_nocache_pass_never_calls_the_block_store(bench_modules, capsys):
+    metrics, requests, missing = traced_pass(bench_modules, capsys, "short-nocache")
+    assert requests > 0
     assert metrics["router.calls"] > 0  # the tracer saw the pass
     assert metrics["block_store.calls"] == 0
+    assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)
+
+
+def test_traced_prefix_hit_pass_times_the_block_store(bench_modules, capsys):
+    metrics, requests, missing = traced_pass(bench_modules, capsys, "prefix-hit")
+    assert requests > 0
+    assert metrics["router.calls"] > 0
+    assert metrics["block_store.calls"] > 0
     assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)

@@ -14,9 +14,16 @@ sweeps, the two must agree with ``==`` after every operation on:
   telemetry counters;
 * each request's ``tokens_cached`` and ``tokens_prefilled`` (also for
   requests that arrive already prefilled, as migrations do);
-* every live sequence's length, cached tokens and block table;
-* the block store's slot columns, content index, LRU queue and counters;
-* the pools' page counts.
+* every live sequence's length, cached tokens and block table (its hashed
+  blocks as hashes, its private run and tail fill);
+* the block store's observable state (:mod:`tests.block_store_view`): each
+  resident block's refcount, cache flag and touch time, the content-index
+  keys, the order eviction would take the cache in, the counters and the
+  pool pages, and the match depth of every prompt family's chain.
+
+The frozen path sits on the frozen per-block store
+(:mod:`tests.frozen_block_store`) and the library on the segment store, so
+nothing inside either store is compared.
 
 Streams cover the prefix cache on and off, budgets of a few blocks, one
 and two pools, padded requests, ``reserve_output_tokens=False``, prompts
@@ -33,9 +40,11 @@ from repro.hardware import get_hardware
 from repro.models import get_model
 from repro.models.memory import kv_cache_bytes_per_token_per_layer
 from repro.obs import Telemetry
+from repro.runtime.block_store import chain_block_hashes
 from repro.serving import AdmissionController, ServingRequest
 from repro.utils.errors import MemoryManagerError
 from repro.workloads import Request, uniform_workload
+from tests.block_store_view import match_depth, store_state, table_view
 from tests.frozen_admission import FrozenAdmissionController
 
 MODEL = get_model("mixtral-8x7b")
@@ -53,6 +62,7 @@ FAMILY_TOKENS = (
     tuple(range(8)) + tuple(range(100, 156)),
     tuple(range(200, 264)),
 )
+FAMILY_CHAINS = [chain_block_hashes(tokens, BLOCK_TOKENS) for tokens in FAMILY_TOKENS]
 
 #: ``("admit", family, length, pad, gen, counting, migrated)``: ``family``
 #: is ``-1`` for a prompt without content identity; lengths come mostly
@@ -116,11 +126,6 @@ def make_controller(
 def controller_state(controller) -> tuple:
     kv_cache = controller.kv_cache
     store = kv_cache.block_store
-    pools = [
-        (pool.free_pages, pool.used_pages, pool._reserved)
-        for pool in (kv_cache.cpu_pool, kv_cache.gpu_pool)
-        if pool is not None
-    ]
     return (
         controller.admitted_count,
         controller.rejected_kv_count,
@@ -130,24 +135,16 @@ def controller_state(controller) -> tuple:
         controller.prompt_tokens_total,
         controller.telemetry.registry.snapshot(),
         [
-            (sequence_id, cache.num_tokens, cache.cached_tokens, cache.block_table)
+            (
+                sequence_id,
+                cache.num_tokens,
+                cache.cached_tokens,
+                table_view(store, cache.block_table),
+            )
             for sequence_id, cache in kv_cache.sequences.items()
         ],
-        store._refs,
-        store._hashes,
-        store._touch_time,
-        store._stamps,
-        store._ids,
-        store._free_slots,
-        store._hash_index,
-        list(store._lru),
-        store._private_blocks,
-        store._num_cached,
-        store._stamp,
-        store.version,
-        store.evictions,
-        store.ttl_evictions,
-        pools,
+        store_state(store),
+        [match_depth(store, chain, 64) for chain in FAMILY_CHAINS],
     )
 
 

@@ -7,9 +7,11 @@ without a private tail), over-capacity chain registration, purely private
 registration, tail growth across block boundaries, release, TTL expiry and
 crash teardown.  After every
 rule the two must agree on refcounts, private runs, cached and resident
-counts, pool pages, the content-index key set, the eviction counters and
-prefix-match depths.  Block ids are the store's business, so the model
-matches by hash and tracks its own ids.
+counts, pool pages, the content-index key set, the eviction counters,
+prefix-match depths, and the cache's touch times and eviction order.
+Everything is read through the store's public surface
+(:mod:`tests.block_store_view`); the model matches by hash and tracks its
+own ids.
 
 Run the long slice with ``--hypothesis-profile=long``.
 """
@@ -28,6 +30,7 @@ from hypothesis.stateful import (
 from repro.runtime.block_store import BlockTable, SharedBlockStore
 from repro.runtime.memory_manager import MemoryPool
 from repro.utils.errors import KVCapacityError, MemoryManagerError
+from tests.block_store_view import lru_order, resident, store_state
 
 BLOCK_TOKENS = 4
 BLOCK_BYTES = 1024.0
@@ -190,27 +193,6 @@ class ReferenceStore:
         return len(dropped)
 
 
-def store_state(store: SharedBlockStore) -> tuple:
-    """Everything a registration could touch, as comparable values."""
-    return (
-        list(store._refs),
-        list(store._hashes),
-        list(store._touch_time),
-        list(store._stamps),
-        list(store._ids),
-        list(store._free_slots),
-        dict(store._hash_index),
-        list(store._lru),
-        store._private_blocks,
-        store._num_cached,
-        store._stamp,
-        store.version,
-        store.evictions,
-        store.cpu_pool.free_pages,
-        store.gpu_pool.free_pages,
-    )
-
-
 def make_store() -> SharedBlockStore:
     cpu_share = BLOCK_BYTES * (1 - GPU_RATIO)
     gpu_share = BLOCK_BYTES * GPU_RATIO
@@ -247,13 +229,15 @@ class BlockStoreMachine(RuleBasedStateMachine):
             return
         matchable = num_tokens - 1
         cap = num_tokens // BLOCK_TOKENS
-        matched = self.store.match_prefix_hashes(hashes, matchable)[:cap]
+        matched = self.store.match_prefix_hashes(
+            hashes, min(matchable, cap * BLOCK_TOKENS)
+        )
         model_matched = self.model.match(hashes, matchable)[:cap]
-        assert len(matched) == len(model_matched)
+        assert matched.blocks == len(model_matched)
         self._register(
             lambda table: self.store.register_chain(matched, num_tokens, hashes, table),
             lambda: self.model.register_chain(model_matched, num_tokens, hashes),
-            cached_tokens=len(matched) * BLOCK_TOKENS,
+            cached_tokens=matched.blocks * BLOCK_TOKENS,
         )
 
     @precondition(lambda self: self.store.num_cached_blocks)
@@ -267,8 +251,8 @@ class BlockStoreMachine(RuleBasedStateMachine):
         Each family's reservation needs every block the pools could ever
         free (the whole pool less the match) and ``extra`` tokens more, so
         it must be refused whatever the store holds, and the refusal must
-        leave every column (stamps and touch times included), the LRU
-        queue, the counters and the pools exactly as they were.  It runs
+        leave every refcount and touch time, the eviction order, the
+        counters and the pools exactly as they were.  It runs
         only while some block is cached, so matches often include blocks a
         release would restamp.
         """
@@ -278,7 +262,7 @@ class BlockStoreMachine(RuleBasedStateMachine):
         for family in range(FAMILIES):
             hashes = family_chain(family)[:depth]
             matched = self.store.match_prefix_hashes(hashes, matchable)
-            assert len(matched) == len(self.model.match(hashes, matchable))
+            assert matched.blocks == len(self.model.match(hashes, matchable))
             before = store_state(self.store)
             table = BlockTable()
             try:
@@ -391,6 +375,16 @@ class BlockStoreMachine(RuleBasedStateMachine):
         )
 
     @invariant()
+    def cache_order_agrees(self):
+        """Cached blocks' touch times, and the order eviction takes them."""
+        model = self.model
+        cached = {
+            model.blocks[mid][1]: (0, True, since) for mid, since in model.lru.items()
+        }
+        assert {h: v for h, v in resident(self.store).items() if v[1]} == cached
+        assert lru_order(self.store) == [model.blocks[mid][1] for mid in model.lru]
+
+    @invariant()
     def index_and_counters_agree(self):
         store = self.store
         assert set(store.prefix_index) == set(self.model.index)
@@ -404,8 +398,8 @@ class BlockStoreMachine(RuleBasedStateMachine):
         for family in range(FAMILIES):
             chain = family_chain(family)
             matched = self.store.match_prefix_hashes(chain, unlimited)
-            assert len(matched) == len(self.model.match(chain, unlimited))
-            for block_id, block_hash in zip(matched, chain):
+            assert matched.blocks == len(self.model.match(chain, unlimited))
+            for block_id, block_hash in zip(matched.block_ids, chain):
                 assert self.store.block(block_id).block_hash == block_hash
 
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.runtime.block_store import BlockTable, SharedBlockStore, chain_block_hashes
+from repro.runtime.block_store import (
+    BlockTable,
+    PrefixMatch,
+    SharedBlockStore,
+    chain_block_hashes,
+)
 from repro.runtime.memory_manager import MemoryPool
 from repro.utils.errors import MemoryManagerError
 
@@ -32,7 +37,7 @@ def make_store(num_blocks=8, gpu_ratio=0.0, gpu_blocks=8):
 def hashed_block(store, block_hash):
     """One full block registered under ``block_hash``; returns its id."""
     table = BlockTable()
-    store.register_chain([], BLOCK_TOKENS, [block_hash], table)
+    store.register_chain(PrefixMatch(), BLOCK_TOKENS, [block_hash], table)
     (block_id,) = table.block_ids
     return block_id
 
@@ -40,7 +45,7 @@ def hashed_block(store, block_hash):
 def private_run(store, num_tokens):
     """A table holding ``num_tokens`` private tokens (no hashes)."""
     table = BlockTable()
-    store.register_chain([], num_tokens, [], table)
+    store.register_chain(PrefixMatch(), num_tokens, [], table)
     return table
 
 
@@ -68,10 +73,10 @@ class TestSharing:
     def test_match_requires_residency(self):
         store = make_store()
         tokens = (1, 2, 3, 4, 5)
-        assert store.match_prefix(tokens) == []
+        assert store.match_prefix(tokens).block_ids == []
         hashes = chain_block_hashes(tokens, BLOCK_TOKENS)
         block_id = hashed_block(store, hashes[0])
-        assert store.match_prefix(tokens) == [block_id]
+        assert store.match_prefix(tokens).block_ids == [block_id]
 
     def test_match_never_covers_whole_prompt(self):
         """Prefill must keep at least one token to compute first logits."""
@@ -80,8 +85,8 @@ class TestSharing:
         for h in chain_block_hashes(tokens, BLOCK_TOKENS):
             hashed_block(store, h)
         # Both blocks resident, but an 8-token prompt may match only one.
-        assert len(store.match_prefix(tokens)) == 1
-        assert len(store.match_prefix(tokens + (9,))) == 2
+        assert store.match_prefix(tokens).blocks == 1
+        assert store.match_prefix(tokens + (9,)).blocks == 2
 
     def test_acquire_shares_without_double_charge(self):
         store = make_store()
@@ -138,7 +143,7 @@ class TestPrivateRuns:
         """A table ending in a (full) hashed block grows a fresh run."""
         store = make_store()
         table = BlockTable()
-        store.register_chain([], BLOCK_TOKENS, [11], table)
+        store.register_chain(PrefixMatch(), BLOCK_TOKENS, [11], table)
         store.acquire(table.block_ids[0])  # a second sharer
         store.extend_table(table, 3)
         assert (table.private_blocks, table.tail_tokens) == (1, 3)
@@ -156,7 +161,7 @@ class TestPrivateRuns:
     def test_release_table_returns_the_run_and_caches_hashed_blocks(self):
         store = make_store()
         table = BlockTable()
-        store.register_chain([], 3 * BLOCK_TOKENS + 2, [1, 2], table)
+        store.register_chain(PrefixMatch(), 3 * BLOCK_TOKENS + 2, [1, 2], table)
         assert len(table) == 4
         store.release_table(table)
         assert store.num_blocks == store.num_cached_blocks == 2
@@ -190,7 +195,7 @@ class TestEviction:
         for block_hash in (10, 2, 11):  # cached LRU order: 10, 2, 11
             store.release(hashed_block(store, block_hash))
         table = BlockTable()
-        store.register_chain([], 3 * BLOCK_TOKENS, [1, 2, 3], table)
+        store.register_chain(PrefixMatch(), 3 * BLOCK_TOKENS, [1, 2, 3], table)
         # Block 0 takes the free page; block 1 evicts hash 10 and finds
         # hash 2 still resident; block 2 evicts the hash-2 incumbent.
         assert store.evictions == 2
@@ -212,7 +217,7 @@ class TestEviction:
         for block_hash in (10, 20, 30, 50):  # cached LRU order
             store.release(hashed_block(store, block_hash))
         table = BlockTable()
-        store.register_chain([], 4 * BLOCK_TOKENS + 2, [40, 10], table)
+        store.register_chain(PrefixMatch(), 4 * BLOCK_TOKENS + 2, [40, 10], table)
         assert store.evictions == 3
         assert set(store.prefix_index) == {40, 50}
         assert [store.block(b).block_hash for b in table.block_ids] == [40]
@@ -246,7 +251,7 @@ class TestEviction:
         store.release(block_id)
         assert store.match_prefix(tokens)
         private_run(store, BLOCK_TOKENS)  # forces eviction
-        assert store.match_prefix(tokens) == []
+        assert store.match_prefix(tokens).block_ids == []
 
     def test_can_allocate_counts_evictable_but_not_reserved(self):
         store = make_store(num_blocks=2)
@@ -256,8 +261,11 @@ class TestEviction:
         store.release(b)
         assert store.can_allocate_blocks(2)
         # Reserving one matched block leaves room for only one new block.
-        assert store.can_allocate_blocks(1, reserved_block_ids=[a])
-        assert not store.can_allocate_blocks(2, reserved_block_ids=[a])
+        matched = store.match_prefix_hashes([1], BLOCK_TOKENS)
+        assert matched.block_ids == [a]
+        assert matched.cached == 1
+        assert store.can_allocate_blocks(1, matched.cached)
+        assert not store.can_allocate_blocks(2, matched.cached)
 
 
 class TestAccounting:
@@ -305,10 +313,11 @@ class TestRegisterChain:
         manual_ids = [hashed_block(manual, block_hash) for block_hash in hashes]
         bulk = make_store()
         table = BlockTable()
-        cached = bulk.register_chain([], 16, hashes, table)
+        cached = bulk.register_chain(PrefixMatch(), 16, hashes, table)
         assert cached == 0
         assert table.block_ids == manual_ids
-        assert bulk.prefix_index == manual.prefix_index
+        assert list(bulk.prefix_index) == list(manual.prefix_index)
+        assert bulk.resident_blocks() == manual.resident_blocks()
         assert bulk.bytes_in_use() == manual.bytes_in_use()
 
     def test_matched_prefix_pinned_not_reallocated(self):
@@ -317,11 +326,13 @@ class TestRegisterChain:
         tokens = tuple(range(16))
         hashes = self._chain(tokens)
         first = BlockTable()
-        store.register_chain([], 16, hashes, first)
+        store.register_chain(PrefixMatch(), 16, hashes, first)
         store.release_table(first)
         assert store.num_cached_blocks == len(first.block_ids)
         second = BlockTable()
-        cached = store.register_chain(first.block_ids, 16, hashes, second)
+        matched = store.match_prefix_hashes(hashes, 16)
+        assert matched.block_ids == first.block_ids
+        cached = store.register_chain(matched, 16, hashes, second)
         assert cached == 16
         assert second.block_ids == first.block_ids  # same blocks, re-acquired
         # Re-registration added no blocks and no duplicate hash entries.
@@ -336,7 +347,7 @@ class TestRegisterChain:
         hashes = self._chain(tokens)
         table = BlockTable()
         with pytest.raises(MemoryManagerError):
-            store.register_chain([], 16, hashes, table)
+            store.register_chain(PrefixMatch(), 16, hashes, table)
         # Registration is all or nothing: no block was placed.
         assert table == BlockTable()
         assert store.num_blocks == 0
@@ -347,11 +358,13 @@ class TestRegisterChain:
         store = make_store(num_blocks=3)
         hashes = self._chain(tuple(range(8)))
         cached = BlockTable()
-        store.register_chain([], 8, hashes, cached)
+        store.register_chain(PrefixMatch(), 8, hashes, cached)
         store.release_table(cached)
         table = BlockTable()
+        matched = store.match_prefix_hashes(hashes, 8)
+        assert matched.block_ids == cached.block_ids
         with pytest.raises(MemoryManagerError):
-            store.register_chain(cached.block_ids, 4 * BLOCK_TOKENS, hashes, table)
+            store.register_chain(matched, 4 * BLOCK_TOKENS, hashes, table)
         assert table.block_ids == []
         assert store.num_cached_blocks == 2
         assert store.bytes_in_use(live_only=True) == (0.0, 0.0)
@@ -403,3 +416,55 @@ class TestTTLEviction:
         assert blocks[1] not in store
         assert blocks[2] in store
         assert blocks[3] in store
+
+
+class TestSegments:
+    """Hashed blocks placed together form one segment, split by matches."""
+
+    def _cached_chain(self, store, hashes):
+        table = BlockTable()
+        store.register_chain(PrefixMatch(), len(hashes) * BLOCK_TOKENS, hashes, table)
+        return table
+
+    def test_partial_match_splits_and_the_first_table_walks_both_halves(self):
+        store = make_store()
+        first = self._cached_chain(store, [1, 2, 3, 4])
+        assert len(first.links) == 1  # one registration, one segment
+        second = BlockTable()
+        matched = store.match_prefix_hashes([1, 2, 7], 3 * BLOCK_TOKENS)
+        assert matched.block_ids == [1, 2]
+        store.register_chain(matched, 2 * BLOCK_TOKENS, [1, 2], second)
+        refs = {b.block_hash: b.ref_count for b in store.resident_blocks()}
+        assert refs == {1: 2, 2: 2, 3: 1, 4: 1}
+        # The first table's one link still reaches all four blocks.
+        assert first.block_ids == [1, 2, 3, 4]
+        store.release_table(first)
+        refs = {b.block_hash: b.ref_count for b in store.resident_blocks()}
+        assert refs == {1: 1, 2: 1, 3: 0, 4: 0}
+        assert store.num_cached_blocks == 2
+
+    def test_cached_tail_keeps_its_place_in_lru_order(self):
+        store = make_store(num_blocks=6)
+        store.release_table(self._cached_chain(store, [1, 2, 3, 4]))
+        store.release_table(self._cached_chain(store, [9]))
+        table = BlockTable()
+        matched = store.match_prefix_hashes([1, 2, 5], 3 * BLOCK_TOKENS)
+        store.register_chain(matched, 2 * BLOCK_TOKENS, [1, 2], table)
+        private_run(store, BLOCK_TOKENS)  # takes the last free page
+        private_run(store, BLOCK_TOKENS)  # evicts the split-off tail's head
+        assert set(store.prefix_index) == {1, 2, 4, 9}
+        assert store.evictions == 1
+
+    def test_match_enters_a_segment_where_the_chain_does(self):
+        """Hash lists that are not prefix chains still match block by block."""
+        store = make_store()
+        held = self._cached_chain(store, [1, 2, 3])
+        matched = store.match_prefix_hashes([2, 3], 2 * BLOCK_TOKENS)
+        assert matched.block_ids == [2, 3]
+        table = BlockTable()
+        store.register_chain(matched, 2 * BLOCK_TOKENS, [2, 3], table)
+        refs = {b.block_hash: b.ref_count for b in store.resident_blocks()}
+        assert refs == {1: 1, 2: 2, 3: 2}
+        store.release_table(held)
+        store.release_table(table)
+        assert store.num_cached_blocks == 3

@@ -7,6 +7,7 @@ from repro.models.memory import kv_cache_bytes_per_token_per_layer
 from repro.serving import AdmissionController, ServingRequest
 from repro.utils.errors import MemoryManagerError
 from repro.workloads import Request, uniform_workload
+from tests.block_store_view import store_state
 
 PROMPT = 16
 GEN = 16
@@ -122,16 +123,9 @@ class TestKVBoundary:
         store = admission.kv_cache.block_store
 
         def state():
-            return (
-                list(store._refs),
-                list(store._stamps),
-                list(store._touch_time),
-                list(store._lru),
-                store._num_cached,
-                store._stamp,
-                store.version,
-                store.cpu_pool.free_pages,
-            )
+            # Refcounts, touch times and LRU order of every block, the
+            # counters and the pool pages.
+            return store_state(store)
 
         before = state()
         store.clock_time = 5.0

@@ -104,7 +104,7 @@ def test_match_prefix_hashes_agrees_with_token_matching(eager, columnar):
         from_hashes = store.match_prefix_hashes(chain, matchable)
         assert from_tokens == from_hashes
         some_hit = some_hit or bool(from_hashes)
-        some_partial = some_partial or 0 < len(from_hashes) < len(chain)
+        some_partial = some_partial or 0 < from_hashes.blocks < len(chain)
         # Register the prompt: reuse the match, hash the rest (only
         # blocks the one-token-short cap leaves matchable).
         table = BlockTable()

@@ -145,12 +145,13 @@ class TestDisaggRun:
                 assert block.cached
             # The content index maps each chain hash to exactly one
             # resident block — migration re-registration never duplicated
-            # an entry.
-            assert len(set(store.prefix_index.values())) == len(
-                store.prefix_index
+            # an entry: every charged page belongs to an indexed block.
+            assert store.num_private_blocks == 0
+            assert store.cpu_pool.used_pages == len(store.prefix_index) * (
+                store._block_cpu_pages
             )
-            for block_hash, block_id in store.prefix_index.items():
-                assert store.block(block_id).block_hash == block_hash
+            for block_hash in store.prefix_index:
+                assert store.block(block_hash).block_hash == block_hash
         # Conservation: every transferred byte was priced on the link.
         assert controller.transfer_bytes >= 0.0
 

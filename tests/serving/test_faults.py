@@ -107,9 +107,13 @@ def assert_store_invariants(core):
         return
     for block in store.resident_blocks():
         assert block.ref_count >= 0
-    for block_hash, block_id in store.prefix_index.items():
-        assert block_id in store
-        assert store.block(block_id).block_hash == block_hash
+    for block_hash in store.prefix_index:
+        assert block_hash in store
+        assert store.block(block_hash).block_hash == block_hash
+    # Every charged block is either indexed once or private: the pool pages
+    # leave no room for an unindexed (dangling or duplicated) hashed block.
+    blocks = len(store.prefix_index) + store.num_private_blocks
+    assert store.cpu_pool.used_pages == blocks * store._block_cpu_pages
     cpu, gpu = store.bytes_in_use()
     assert cpu == pytest.approx(
         store.num_blocks * store._block_cpu_pages * store.cpu_pool.page_bytes
